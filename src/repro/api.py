@@ -94,6 +94,7 @@ from .io.serialization import (
     load_model,
     save_dataset,
     save_model,
+    verify_model,
 )
 from .store import (
     DEFAULT_SHARD_SIZE,
@@ -259,6 +260,7 @@ __all__ = [
     "load_dataset",
     "save_model",
     "load_model",
+    "verify_model",
     # scenario store
     "ScenarioSource",
     "ensure_dataset",

@@ -9,6 +9,7 @@
     repro evaluate  --model model.json --feature feature1 [--job WSC]
     repro report    --model model.json
     repro diagnose  --model model.json
+    repro model verify model.json
     repro monitor   --model model.json --source live.json [--json]
     repro ledger check --ledger runs.jsonl [--kind bench]
     repro ledger show  --ledger runs.jsonl [--last 5]
@@ -32,7 +33,13 @@ from .cluster.machine import DEFAULT_SHAPE, SMALL_SHAPE
 from .cluster.simulation import DatacenterConfig, run_simulation
 from .core.analyzer import AnalyzerConfig
 from .core.pipeline import Flare, FlareConfig
-from .io.serialization import load_dataset, load_model, save_dataset, save_model
+from .io.serialization import (
+    load_dataset,
+    load_model,
+    save_dataset,
+    save_model,
+    verify_model,
+)
 from .reporting.radar import render_radar_report
 from .reporting.tables import render_table
 from .runtime.config import DISPATCH_MODES, ResolvedRuntime, RuntimeConfig
@@ -274,10 +281,26 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--model", required=True)
 
     diagnose = sub.add_parser(
-        "diagnose", help="print a fitted model's representativeness report"
+        "diagnose",
+        help=(
+            "print a fitted model's representativeness report (re-fits "
+            "the model from its population, which must be reachable)"
+        ),
     )
     diagnose.add_argument("--model", required=True)
     _add_obs_flags(diagnose)
+
+    model = sub.add_parser("model", help="check a saved model artefact")
+    model_sub = model.add_subparsers(dest="model_command", required=True)
+    model_verify = model_sub.add_parser(
+        "verify",
+        help=(
+            "re-fit the model from its population (replaying the refit "
+            "plan of lineage models) and require the saved state to be "
+            "reproduced bit for bit; non-zero exit otherwise"
+        ),
+    )
+    model_verify.add_argument("path", metavar="PATH", help="model JSON")
 
     monitor = sub.add_parser(
         "monitor",
@@ -469,6 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         "evaluate": _cmd_evaluate,
         "report": _cmd_report,
         "diagnose": _cmd_diagnose,
+        "model": _cmd_model,
         "monitor": _cmd_monitor,
         "fleet": _cmd_fleet,
         "ledger": _cmd_ledger,
@@ -693,7 +717,9 @@ def _cmd_report(args) -> int:
 def _cmd_diagnose(args) -> int:
     from .core.diagnostics import diagnose
 
-    flare = load_model(args.model)
+    # Diagnostics need the score matrix, which only a re-fit has: go
+    # through the verified re-fit rather than the state-only load.
+    flare = verify_model(args.model)
     report = diagnose(flare)
     print(report.render())
     worst = report.worst_group()
@@ -702,6 +728,27 @@ def _cmd_diagnose(args) -> int:
         f"(mean member distance {worst.mean_member_distance:.2f}); "
         f"mean representative centrality "
         f"{report.mean_centrality():.2f} (lower = more central)"
+    )
+    return 0
+
+
+def _cmd_model(args) -> int:
+    from .io.serialization import fitted_digest
+
+    try:
+        flare = verify_model(args.path)
+    except ValueError as error:
+        print(f"model verify FAILED: {error}", file=sys.stderr)
+        return 1
+    lineage = (
+        f", generation {flare.lineage[-1].generation}"
+        if flare.lineage
+        else ""
+    )
+    print(
+        f"verified {args.path}: re-fit reproduces the saved state "
+        f"(fitted digest {fitted_digest(flare)[:12]}…, "
+        f"{flare.analysis.n_clusters} groups{lineage})"
     )
     return 0
 
@@ -782,6 +829,9 @@ class _SegmentReplay:
 
     def durations(self):
         return self._view().durations()
+
+    def job_count_table(self):
+        return self._view().job_count_table()
 
     def schema(self):
         return self._store.schema()

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..perfmodel.contention import RunningInstance
 from .machine import Machine, MachineShape
-from .source import ScenarioContentHasher, scenario_schema
+from .source import JobCountTable, ScenarioContentHasher, scenario_schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perfmodel.signatures import JobSignature
@@ -296,6 +296,17 @@ class ScenarioDataset:
                     )
             object.__setattr__(self, "_signatures_cache", cached)
         return cached
+
+    def job_count_table(self):
+        """Per-scenario job instance counts (see
+        :class:`~repro.cluster.source.JobCountTable`), from the keys."""
+        signatures = self.signatures
+        index = {name: j for j, name in enumerate(signatures)}
+        counts = np.zeros((len(self.scenarios), len(index)), dtype=np.int64)
+        for row, scenario in enumerate(self.scenarios):
+            for name, count in scenario.key:
+                counts[row, index[name]] = count
+        return JobCountTable.from_columns(list(index), counts, signatures)
 
     def with_weights_from(
         self, durations: dict[ScenarioKey, float]

@@ -12,13 +12,14 @@ Both :class:`~repro.cluster.ScenarioDataset` and
 The content digest is *logical*: it covers the scenarios, the job
 signatures and the machine shape, not the bytes of any particular
 encoding — so a dataset and the store written from it report the same
-digest, which is how ``load_model`` verifies a store-backed model and
-how cache keys stay stable across representations.
+digest, which is how a saved model checks the population it references
+and how cache keys stay stable across representations.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -32,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "ScenarioSource",
     "ScenarioContentHasher",
+    "JobCountTable",
+    "job_count_table",
     "scenario_schema",
     "ensure_dataset",
     "resolve_source_argument",
@@ -183,6 +186,59 @@ class ScenarioContentHasher:
         final.update(signature_hash.digest())
         final.update(self._scenario_hash.digest())
         return final.hexdigest()
+
+
+@dataclass(frozen=True)
+class JobCountTable:
+    """Per-scenario instance count of every job a source hosts.
+
+    The columnar view member lookups are answered from: ``counts`` is
+    ``(n_scenarios, n_jobs)``, column *j* counting job ``names[j]``;
+    ``high_priority[j]`` flags HP jobs.  Only jobs with at least one
+    instance are listed, sorted by name, so the table does not depend
+    on how a backing interns job names.
+    """
+
+    names: tuple[str, ...]
+    counts: np.ndarray
+    high_priority: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls, names, counts: np.ndarray, signatures: dict
+    ) -> "JobCountTable":
+        """Canonical table from count columns in *names* order."""
+        counts = np.asarray(counts, dtype=np.int64)
+        present = counts.any(axis=0)
+        order = sorted(
+            (name, j) for j, name in enumerate(names) if present[j]
+        )
+        columns = [j for _, j in order]
+        return cls(
+            names=tuple(name for name, _ in order),
+            counts=counts[:, columns],
+            high_priority=np.array(
+                [signatures[name].is_high_priority for name, _ in order],
+                dtype=bool,
+            ),
+        )
+
+    def hp_presence(self) -> np.ndarray:
+        """Per-scenario "hosts any HP instance" flag."""
+        return (self.counts[:, self.high_priority] > 0).any(axis=1)
+
+
+def job_count_table(source: ScenarioSource) -> JobCountTable:
+    """The :class:`JobCountTable` of any source.
+
+    Backings that keep columns (the in-memory dataset, the sharded
+    store and its views) answer directly; anything else is materialised
+    first.
+    """
+    direct = getattr(source, "job_count_table", None)
+    if direct is None:
+        return ensure_dataset(source).job_count_table()
+    return direct()
 
 
 def ensure_dataset(source: ScenarioSource) -> "ScenarioDataset":

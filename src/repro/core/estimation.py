@@ -7,6 +7,10 @@ group size — the likelihood of observing a scenario from that group.
 *Per-job* impact: a representative may not contain the job of interest
 even when its group does; walk to the next-nearest member that does, and
 weight groups by their observation-weighted instance count of the job.
+
+Both read only the representative set's pre-resolved
+:class:`~repro.core.representatives.MemberTable`, so an estimate costs
+its replays and nothing that grows with the scenario population.
 """
 
 from __future__ import annotations
@@ -85,9 +89,10 @@ def estimate_all_job_impact(
     under a ``retry_then_skip`` policy are dropped and the estimate
     renormalises over the groups that were actually measured.
     """
+    table = representatives.member_table()
     selected: list[tuple[tuple[int, float], Scenario]] = []
     for group in representatives.groups:
-        scenario = representatives.first_member_with_hp(group)
+        scenario = table.hp_member(group.cluster_id)
         if scenario is None:
             # LP-only group: hosts nothing whose performance is managed.
             continue
@@ -121,12 +126,13 @@ def estimate_per_job_impact(
     executor: "Executor | str | None" = None,
 ) -> FeatureImpactEstimate:
     """FLARE's impact estimate for one HP job (§5.3 per-job method)."""
+    table = representatives.member_table()
     selected: list[tuple[tuple[int, float], Scenario]] = []
     for group in representatives.groups:
-        weight = representatives.job_instance_weight(group, job_name)
+        weight = table.job_weight(group.cluster_id, job_name)
         if weight <= 0.0:
             continue
-        scenario = representatives.first_member_with_job(group, job_name)
+        scenario = table.job_member(group.cluster_id, job_name)
         if scenario is None:
             continue
         selected.append(((group.cluster_id, weight), scenario))

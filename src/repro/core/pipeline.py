@@ -165,9 +165,21 @@ class Flare:
         #: empty for models fitted directly.
         self.lineage: tuple = ()
         #: Deterministic-replay plan of a refit-path model (chosen k,
-        #: warm-start centroids) — what save_model/load_model need to
-        #: reproduce a warm-started fit exactly.
+        #: warm-start centroids) — what verify_model needs to reproduce
+        #: a warm-started fit exactly.
         self._refit_plan: dict | None = None
+        #: The source this model was fitted on (what a re-fit needs).
+        self._source: ScenarioSource | None = None
+        #: Reweighting steps applied since the fit, in order:
+        #: ``("durations", array)`` from :meth:`reweight` and
+        #: ``("classification", dataset)`` from
+        #: :meth:`reweight_by_classification`.
+        self._reweighting: tuple = ()
+        #: Models loaded from an artefact: the artefact path, and the
+        #: saved population reference, whose ``open()`` is called on
+        #: demand by :attr:`dataset`.
+        self._artefact: str | None = None
+        self._population = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -214,6 +226,7 @@ class Flare:
         if not isinstance(source, ScenarioDataset):
             return self._fit_streaming(source, runtime=runtime)
         dataset = source
+        self._source = dataset
         with obs_span("flare.fit", n_scenarios=len(dataset)) as fit_span:
             profiler = self.config.make_profiler(database=self.database)
             with obs_span("flare.profile"):
@@ -279,6 +292,7 @@ class Flare:
                 runtime=runtime,
             )
             self._streaming = True
+            self._source = source
             self._analysis = result.analysis
             self._prune_report = result.report
             self._representatives = result.representatives
@@ -560,13 +574,18 @@ class Flare:
         impact weighting) change.  Returns a new fitted ``Flare``.
         """
         with obs_span("flare.reweight", n_durations=len(durations)):
-            reweighted_dataset = self.dataset.with_weights_from(durations)
-            cluster_weights = self.analysis.kmeans.cluster_weights(
-                sample_weight=reweighted_dataset.weights()
-            )
-            return self._clone_with(
-                cluster_weights=cluster_weights, dataset=reweighted_dataset
-            )
+            return self._reweighted(self.dataset.with_weights_from(durations))
+
+    def _reweighted(self, dataset: ScenarioDataset) -> "Flare":
+        """Clone representing *dataset*'s observation times."""
+        cluster_weights = self.analysis.kmeans.cluster_weights(
+            sample_weight=dataset.weights()
+        )
+        return self._clone_with(
+            cluster_weights=cluster_weights,
+            dataset=dataset,
+            step=("durations", dataset.durations()),
+        )
 
     def classify_dataset(self, new_dataset: ScenarioDataset) -> "np.ndarray":
         """Assign each scenario of *new_dataset* to a fitted cluster.
@@ -580,11 +599,11 @@ class Flare:
         values are not comparable across shapes (§5.5), so cross-shape
         classification is rejected rather than silently mis-assigned.
         """
-        if new_dataset.shape != self.dataset.shape:
+        if new_dataset.shape != self.shape:
             raise ValueError(
                 f"cannot classify scenarios from shape "
                 f"{new_dataset.shape.name!r} with a model fitted on "
-                f"{self.dataset.shape.name!r}; derive a new representative "
+                f"{self.shape.name!r}; derive a new representative "
                 "set per machine shape (paper §5.5)"
             )
         profiled = self.config.make_profiler().profile(new_dataset)
@@ -611,20 +630,26 @@ class Flare:
         if total <= 0.0:
             raise ValueError("new dataset carries no observation weight")
         new_weights /= total
-        return self._clone_with(cluster_weights=new_weights)
+        return self._clone_with(
+            cluster_weights=new_weights,
+            step=("classification", new_dataset),
+        )
 
     def _clone_with(
         self,
         *,
         cluster_weights: "np.ndarray",
+        step: tuple,
         dataset: ScenarioDataset | None = None,
     ) -> "Flare":
         """New fitted ``Flare`` sharing steps 1–2, with new group weights.
 
         The single cloning path behind every reweighting flow: collected
-        metrics, refinement, PCA space, interpretations and the replayer
-        are shared with ``self``; only the cluster weights (and therefore
-        the representatives' weighting over *dataset*) are re-derived.
+        metrics, refinement, PCA space, interpretations, the replayer and
+        the fit provenance are shared with ``self``; only the cluster
+        weights (and therefore the representatives' weighting over
+        *dataset*) are re-derived.  *step* is recorded so a saved model
+        can be re-derived from its fit source by ``verify_model``.
         """
         new = Flare(self.config, database=self.database)
         new._profiled = self._profiled
@@ -633,14 +658,19 @@ class Flare:
         new._streaming = self._streaming
         new._interpretations = self._interpretations
         new._replayer = self._replayer
+        new._source = self._source
+        new._artefact = self._artefact
+        new._population = self._population
+        new.lineage = self.lineage
+        new._refit_plan = self._refit_plan
+        new._reweighting = self._reweighting + (step,)
         new._analysis = replace(self.analysis, cluster_weights=cluster_weights)
         # Membership and centroid distances are invariant under a weight
         # change, so the ranked groups are carried over rather than
         # re-derived from the score matrix (which out-of-core fits never
         # materialise, and which costs O(n·k) to re-rank for nothing).
         new._representatives = self.representatives.with_cluster_weights(
-            cluster_weights,
-            dataset if dataset is not None else self.dataset,
+            cluster_weights, dataset
         )
         return new
 
@@ -651,9 +681,25 @@ class Flare:
 
         After :meth:`reweight` this reflects the new observation times,
         while :attr:`profiled` keeps the original collection provenance.
-        For out-of-core fits this is the sharded store itself.
+        For out-of-core fits this is the sharded store itself.  A model
+        loaded from an artefact opens its population here, on first
+        access, and checks its content digest (``ValueError`` naming
+        the store path when it moved, changed or is gone).
         """
-        return self.representatives.dataset
+        representatives = self.representatives
+        if representatives.dataset is None:
+            if self._population is None:
+                raise RuntimeError("this model has no scenario population")
+            representatives = replace(
+                representatives, dataset=self._population.open()
+            )
+            self._representatives = representatives
+        return representatives.dataset
+
+    @property
+    def shape(self):
+        """The machine shape the model was fitted on (and replays on)."""
+        return self.replayer.shape
 
     @property
     def profiled(self) -> ProfiledDataset:
@@ -691,6 +737,13 @@ class Flare:
     def _require(self, attr: str):
         value = getattr(self, attr)
         if value is None:
+            if self._artefact is not None and attr in ("_profiled", "_refined"):
+                raise RuntimeError(
+                    f"this Flare was loaded from {self._artefact}, which "
+                    f"holds the fitted state but not the "
+                    f"{attr.lstrip('_')} matrix; "
+                    "repro.io.verify_model(path) re-fits it"
+                )
             if self._streaming and attr in ("_profiled", "_refined"):
                 raise RuntimeError(
                     f"this Flare was fitted out-of-core and the full "

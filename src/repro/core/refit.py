@@ -600,7 +600,7 @@ def refit(
         (() if prev is None else prev.lineage) + (entry,)
     )
     # Everything a deterministic replay of this exact fit needs (see
-    # load_model): the chosen k and the already-mapped warm-start
+    # verify_model): the chosen k and the already-mapped warm-start
     # centroids — JSON round-trips doubles exactly, so a replay passes
     # bit-identical init into the same fixed-block pipeline.
     flare._refit_plan = {
@@ -645,7 +645,7 @@ def replay_refit(
 ):
     """Reproduce a refit-path model from its serialised plan.
 
-    Used by :func:`~repro.io.serialization.load_model` for models whose
+    Used by :func:`~repro.io.serialization.verify_model` for models whose
     lineage says they came through the refit pipeline: a plain
     ``Flare.fit`` folds statistics per shard, not per fixed block, so
     it differs from the refit at ~1e-12 and cannot verify the digest.
@@ -974,6 +974,7 @@ def _assemble_flare(
 
     flare = Flare(config, database=database)
     flare._streaming = True
+    flare._source = source
     flare._analysis = analysis
     flare._prune_report = report
     flare._representatives = representatives

@@ -129,6 +129,12 @@ class Replayer:
         self.solver = solver
         self.memo = memo
 
+    @property
+    def catalogue(self) -> "dict[str, JobSignature] | None":
+        """The job name -> signature map recorded commands resolve
+        against (``None``: the built-in catalogue only)."""
+        return self._catalogue
+
     def _resolve_job(self, name: str):
         if self._catalogue is not None and name in self._catalogue:
             return self._catalogue[name]

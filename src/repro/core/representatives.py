@@ -4,26 +4,35 @@ For each cluster, the representative is the member scenario nearest to the
 cluster centroid.  Members are kept ranked by centroid distance so the
 per-job estimator can walk to the "next nearest" scenario when the
 representative does not contain the job of interest (§5.3).
+
+Those walks are answered once, up front: a :class:`MemberTable` records
+for every group the first member hosting any HP job and the first
+member hosting each job, the group's observation-weighted instance
+count of each job, and the few member scenarios those answers name.
+The estimators read only the table, so evaluating a feature never
+touches the scenario population — and a saved model carries the table
+instead of the population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from ..cluster.scenario import Scenario, ScenarioDataset
-from ..cluster.source import ScenarioSource
+from ..cluster.source import ScenarioSource, job_count_table
 from .analyzer import AnalysisResult
 
 __all__ = [
     "ClusterGroup",
     "FitBaseline",
+    "MemberTable",
     "RepresentativeSet",
     "extract_representatives",
     "fit_baseline_from_assignments",
     "representatives_from_assignments",
+    "resolve_member_table",
 ]
 
 #: Distance quantile beyond which an observed scenario counts as novel
@@ -181,21 +190,98 @@ class ClusterGroup:
     def size(self) -> int:
         return len(self.ranked_members)
 
-    def first_member_where(
-        self,
-        dataset: ScenarioSource,
-        predicate: Callable[[Scenario], bool],
-    ) -> Scenario | None:
-        """Nearest-to-centroid member satisfying *predicate* (or None).
 
-        This is the paper's fallback: "we check the next nearest scenario
-        to the cluster center until we find the target job".
-        """
-        for index in self.ranked_members:
-            scenario = dataset[index]
-            if predicate(scenario):
-                return scenario
-        return None
+@dataclass(frozen=True)
+class MemberTable:
+    """Pre-resolved member lookups of one representative set.
+
+    The paper's fallback — "we check the next nearest scenario to the
+    cluster center until we find the target job" — answered for every
+    group and every job at once.  All maps are keyed by cluster id.
+
+    Attributes
+    ----------
+    hp:
+        First ranked member hosting any HP instance (``None`` for an
+        LP-only group).
+    jobs:
+        Job name -> first ranked member hosting that job (or ``None``).
+    job_weights:
+        Job name -> observation-weighted instance count of the job in
+        the group (§5.3's "likelihood to observe the job").
+    scenarios:
+        The member scenarios the lookups name, plus each group's
+        representative, by population index.
+    """
+
+    hp: dict[int, int | None]
+    jobs: dict[str, dict[int, int | None]]
+    job_weights: dict[str, dict[int, float]]
+    scenarios: dict[int, Scenario]
+
+    def hp_member(self, cluster_id: int) -> Scenario | None:
+        return self._scenario(self.hp[cluster_id])
+
+    def job_member(self, cluster_id: int, job_name: str) -> Scenario | None:
+        members = self.jobs.get(job_name)
+        return None if members is None else self._scenario(
+            members[cluster_id]
+        )
+
+    def job_weight(self, cluster_id: int, job_name: str) -> float:
+        weights = self.job_weights.get(job_name)
+        return 0.0 if weights is None else weights[cluster_id]
+
+    def _scenario(self, index: int | None) -> Scenario | None:
+        return None if index is None else self.scenarios[index]
+
+
+def resolve_member_table(
+    groups: "tuple[ClusterGroup, ...]", dataset: ScenarioSource
+) -> MemberTable:
+    """Answer every member lookup of *groups* from *dataset*'s columns.
+
+    One columnar pass (:func:`~repro.cluster.source.job_count_table`;
+    a store reads its instance tables, decoding nothing), then one
+    ``dataset[i]`` per distinct member the answers name.  Each job
+    weight keeps the sequential left-to-right float association of the
+    historical per-member walk, so it is bit-identical to
+    ``sum(weights[i] * dataset[i].count_of(job))`` over the ranking.
+    """
+    table = job_count_table(dataset)
+    weights = dataset.weights()
+    hp_present = table.hp_presence()
+    hp: dict[int, int | None] = {}
+    jobs: dict[str, dict[int, int | None]] = {n: {} for n in table.names}
+    job_weights: dict[str, dict[int, float]] = {n: {} for n in table.names}
+    wanted = set()
+    for group in groups:
+        members = np.fromiter(
+            group.ranked_members, dtype=np.int64, count=group.size
+        )
+        hp[group.cluster_id] = _first(members, hp_present[members])
+        member_weights = weights[members]
+        for j, name in enumerate(table.names):
+            counts = table.counts[members, j]
+            jobs[name][group.cluster_id] = _first(members, counts > 0)
+            job_weights[name][group.cluster_id] = float(
+                sum((member_weights * counts).tolist())
+            )
+        wanted.add(group.representative_index)
+    wanted.update(i for i in hp.values() if i is not None)
+    for per_group in jobs.values():
+        wanted.update(i for i in per_group.values() if i is not None)
+    return MemberTable(
+        hp=hp,
+        jobs=jobs,
+        job_weights=job_weights,
+        scenarios={i: dataset[i] for i in sorted(wanted)},
+    )
+
+
+def _first(members: np.ndarray, present: np.ndarray) -> int | None:
+    hits = np.flatnonzero(present)
+    return None if hits.size == 0 else int(members[hits[0]])
 
 
 @dataclass(frozen=True)
@@ -205,24 +291,40 @@ class RepresentativeSet:
     ``dataset`` is any :class:`~repro.cluster.ScenarioSource` — the
     in-memory dataset for classic fits, the sharded store itself for
     out-of-core fits, so holding a representative set never forces the
-    full population into memory.
+    full population into memory.  It is ``None`` for a model loaded from
+    an artefact, whose ``members`` table was resolved before saving.
     """
 
-    dataset: ScenarioSource
+    dataset: ScenarioSource | None
     groups: tuple[ClusterGroup, ...]
     #: Fit-time health statistics (occupancy, distances, novelty
     #: threshold) the drift monitor scores against; ``None`` only for
     #: representative sets built by legacy callers.
     baseline: "FitBaseline | None" = None
+    #: Pre-resolved member lookups; resolved from ``dataset`` on first
+    #: use when not given (see :meth:`member_table`).
+    members: MemberTable | None = None
 
     def __len__(self) -> int:
         return len(self.groups)
 
+    def member_table(self) -> MemberTable:
+        """The resolved :class:`MemberTable` (resolved once, then kept)."""
+        if self.members is None:
+            if self.dataset is None:
+                raise RuntimeError(
+                    "representative set has neither a member table nor "
+                    "a population to resolve one from"
+                )
+            object.__setattr__(
+                self, "members", resolve_member_table(self.groups, self.dataset)
+            )
+        return self.members
+
     def representative_scenarios(self) -> tuple[Scenario, ...]:
         """The one-per-group representative scenarios."""
-        return tuple(
-            self.dataset[g.representative_index] for g in self.groups
-        )
+        scenarios = self.member_table().scenarios
+        return tuple(scenarios[g.representative_index] for g in self.groups)
 
     def weights(self) -> np.ndarray:
         return np.array([g.weight for g in self.groups])
@@ -244,96 +346,23 @@ class RepresentativeSet:
                 f"scenario {scenario_index} not in any group"
             ) from None
 
-    # ------------------------------------------------------------------
-    # Columnar member search.  ``first_member_where`` walks members one
-    # at a time, fetching each scenario individually — on a store-backed
-    # dataset that is a shard load per probe.  The methods below answer
-    # the same questions from per-scenario columns built in ONE
-    # sequential batch pass over the dataset and cached, so repeated
-    # queries (one per group, one per job) cost a numpy gather.  Keyed by
-    # dataset length so a still-growing source never serves stale
-    # columns.
-
-    def _columns(self) -> dict:
-        cache = getattr(self, "_column_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_column_cache", cache)
-        return cache
-
-    def job_counts(self, job_name: str) -> np.ndarray:
-        """Per-scenario instance count of *job_name* (cached column)."""
-        cache = self._columns()
-        key = ("job", job_name, len(self.dataset))
-        if key not in cache:
-            counts = np.zeros(len(self.dataset), dtype=np.int64)
-            row = 0
-            for batch in self.dataset.iter_batches():
-                for scenario in batch.scenarios:
-                    counts[row] = scenario.count_of(job_name)
-                    row += 1
-            cache[key] = counts
-        return cache[key]
-
-    def hp_presence(self) -> np.ndarray:
-        """Per-scenario "hosts any HP instance" flag (cached column)."""
-        cache = self._columns()
-        key = ("hp", len(self.dataset))
-        if key not in cache:
-            mask = np.zeros(len(self.dataset), dtype=bool)
-            row = 0
-            for batch in self.dataset.iter_batches():
-                for scenario in batch.scenarios:
-                    mask[row] = any(
-                        inst.signature.is_high_priority
-                        for inst in scenario.instances
-                    )
-                    row += 1
-            cache[key] = mask
-        return cache[key]
-
-    def _first_member(
-        self, group: ClusterGroup, present: np.ndarray
-    ) -> Scenario | None:
-        members = np.fromiter(
-            group.ranked_members, dtype=np.int64, count=group.size
-        )
-        hits = np.flatnonzero(present[members])
-        if hits.size == 0:
-            return None
-        return self.dataset[int(members[hits[0]])]
-
     def first_member_with_job(
         self, group: ClusterGroup, job_name: str
     ) -> Scenario | None:
-        """Columnar :meth:`ClusterGroup.first_member_where` for "hosts
-        *job_name*"; same answer, one dataset pass for all groups."""
-        return self._first_member(group, self.job_counts(job_name) > 0)
+        """Nearest-to-centroid member of *group* hosting *job_name*."""
+        return self.member_table().job_member(group.cluster_id, job_name)
 
     def first_member_with_hp(self, group: ClusterGroup) -> Scenario | None:
-        """Columnar fallback search for "hosts any HP instance"."""
-        return self._first_member(group, self.hp_presence())
+        """Nearest-to-centroid member of *group* hosting any HP job."""
+        return self.member_table().hp_member(group.cluster_id)
 
     def job_instance_weight(self, group: ClusterGroup, job_name: str) -> float:
         """Observation-weighted instance count of *job_name* in *group*.
 
         Used to weight per-job impacts by "the likelihood to observe the
-        job" in each group (§5.3).  Computed from the cached count
-        column; the final sum keeps the sequential left-to-right float
-        association of the historical per-member walk, so the result is
-        bit-identical to ``sum(weights[i] * dataset[i].count_of(job))``
-        over ``ranked_members``.
+        job" in each group (§5.3).
         """
-        cache = self._columns()
-        key = ("weights", len(self.dataset))
-        if key not in cache:
-            cache[key] = self.dataset.weights()
-        weights = cache[key]
-        members = np.fromiter(
-            group.ranked_members, dtype=np.int64, count=group.size
-        )
-        products = weights[members] * self.job_counts(job_name)[members]
-        return float(sum(products.tolist()))
+        return self.member_table().job_weight(group.cluster_id, job_name)
 
     def with_cluster_weights(
         self,
@@ -346,6 +375,8 @@ class RepresentativeSet:
         cluster membership and centroid distances are untouched — so the
         ranked members are carried over instead of being re-derived from
         the score matrix (which an out-of-core fit never materialises).
+        The member table carries over too unless *dataset* brings new
+        observation times, which change the per-job weights.
         """
         groups = tuple(
             replace(group, weight=float(cluster_weights[group.cluster_id]))
@@ -357,6 +388,7 @@ class RepresentativeSet:
             dataset=dataset if dataset is not None else self.dataset,
             groups=groups,
             baseline=self.baseline,
+            members=self.members if dataset is None else None,
         )
 
 

@@ -16,6 +16,8 @@ from .serialization import (
     load_model,
     save_dataset,
     save_model,
+    state_sha256,
+    verify_model,
 )
 
 __all__ = [
@@ -27,7 +29,9 @@ __all__ = [
     "config_from_dict",
     "save_model",
     "load_model",
+    "verify_model",
     "fitted_digest",
+    "state_sha256",
     "write_trace_csv",
     "read_trace_csv",
     "dataset_from_trace_csv",

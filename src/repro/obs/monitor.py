@@ -300,8 +300,8 @@ class DriftMonitor:
     flare:
         A fitted :class:`~repro.core.Flare` whose representative set
         carries a :class:`~repro.core.representatives.FitBaseline`
-        (every fit since the observatory landed records one; older
-        saved models refit on load and pick one up for free).
+        (every fit since the observatory landed records one; saved
+        models persist it).
     thresholds:
         Alerting cutoffs; defaults to :class:`DriftThresholds`.
     """
@@ -330,11 +330,13 @@ class DriftMonitor:
         order, so the resulting report is bit-identical to a serial
         pass (see :class:`DriftState`).
         """
-        if source.shape != self.flare.dataset.shape:
+        # The model's own persisted shape: a loaded model monitors other
+        # sources without ever opening its fit population.
+        if source.shape != self.flare.shape:
             raise ValueError(
                 f"cannot monitor scenarios from shape "
                 f"{source.shape.name!r} with a model fitted on "
-                f"{self.flare.dataset.shape.name!r} (paper §5.5)"
+                f"{self.flare.shape.name!r} (paper §5.5)"
             )
         with obs_span(
             "monitor.observe", n_scenarios=len(source)

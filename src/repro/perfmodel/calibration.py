@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .cpistack import TopdownBreakdown
 from .mrc import MissRatioCurve
@@ -63,6 +62,8 @@ def fit_mrc(
         raise ValueError("cache sizes must be non-negative")
     if (ratios < 0).any() or (ratios > 1).any():
         raise ValueError("miss ratios must be in [0, 1]")
+    # Imported here: scipy.optimize dominates `import repro` otherwise.
+    from scipy.optimize import curve_fit
 
     def model(c, half, shape, floor):
         return floor + (1.0 - floor) / (1.0 + c / half) ** shape

@@ -8,9 +8,10 @@ inputs, so they cache safely under a content digest:
 * **in-memory** — fitted ``Flare`` objects and ``ProfiledDataset``
   matrices keyed by ``sha256(config JSON, dataset JSON)``;
 * **on-disk** — profiled matrices as ``.npy`` files and fitted models
-  via :func:`repro.io.serialization.save_model`'s digest-verified
-  deterministic re-fit, so a warm cache survives across processes and
-  a corrupted or stale entry is detected rather than trusted.
+  as :func:`repro.io.serialization.save_model` artefacts, read back
+  through :func:`~repro.io.serialization.verify_model`'s deterministic
+  re-fit, so a warm cache survives across processes and a corrupted or
+  stale entry is detected rather than trusted.
 
 The disk layer is opt-in: pass ``disk_dir`` or set the
 :data:`CACHE_DIR_ENV_VAR` environment variable.
@@ -172,12 +173,14 @@ class RuntimeCache:
         """Fit ``Flare(config)`` on *dataset*, cached by digest.
 
         Memory hits return the fitted object directly.  Disk hits go
-        through :func:`repro.io.serialization.load_model`, whose
-        digest-verified deterministic re-fit proves the cached entry
-        still matches what fitting would produce today.
+        through :func:`repro.io.serialization.verify_model`, whose
+        deterministic re-fit proves the cached entry still matches what
+        fitting would produce today — and restores the fit-time
+        matrices (``profiled``, ``refined``) experiments read, which a
+        state-only ``load_model`` does not carry.
         """
         from ..core.pipeline import Flare
-        from ..io.serialization import load_model, save_model
+        from ..io.serialization import save_model, verify_model
 
         key = f"{config_digest(config)}-{dataset_digest(dataset)}"
         cached = self._lookup(self._fitted, key)
@@ -189,7 +192,7 @@ class RuntimeCache:
             path = self._disk_path("model", key, ".json")
             if path.exists():
                 try:
-                    flare = load_model(path)
+                    flare = verify_model(path)
                 except (ValueError, KeyError):
                     path.unlink(missing_ok=True)
                 else:

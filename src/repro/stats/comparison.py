@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .kmeans import KMeans
 from .validation import as_matrix, check_labels, check_random_state
@@ -39,6 +38,8 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
         raise ValueError("need at least 2 samples")
     a = check_labels(a, n)
     b = check_labels(b, n)
+
+    from scipy.special import comb
 
     # Contingency table.
     a_ids, a_inv = np.unique(a, return_inverse=True)

@@ -50,6 +50,8 @@ __all__ = [
     "read_shard_array",
     "encode_shard",
     "decode_shard",
+    "decode_scenario",
+    "job_count_rows",
 ]
 
 STORE_FORMAT = "repro-scenario-store"
@@ -273,29 +275,71 @@ def decode_shard(
     JSON format — so a store round trip is indistinguishable from a
     JSON round trip.
     """
-    scenarios = []
     jobs = instance_table["job"]
     loads = instance_table["load"]
-    for row in scenario_table:
-        start = int(row["inst_offset"])
-        stop = start + int(row["inst_count"])
-        counts: dict[str, int] = {}
-        instances = []
-        for position in range(start, stop):
-            name = job_names[jobs[position]]
-            counts[name] = counts.get(name, 0) + 1
-            instances.append(
-                RunningInstance(
-                    signature=signatures[name], load=float(loads[position])
-                )
-            )
-        scenarios.append(
-            Scenario(
-                scenario_id=int(row["scenario_id"]),
-                key=tuple(sorted(counts.items())),
-                instances=tuple(instances),
-                n_occurrences=int(row["n_occurrences"]),
-                total_duration_s=float(row["total_duration_s"]),
+    scenarios = tuple(
+        _decode_row(row, jobs, loads, job_names, signatures)
+        for row in scenario_table
+    )
+    return ScenarioDataset(shape=shape, scenarios=scenarios)
+
+
+def decode_scenario(
+    scenario_table: np.ndarray,
+    instance_table: np.ndarray,
+    local: int,
+    job_names: list[str],
+    signatures: dict[str, JobSignature],
+) -> Scenario:
+    """Rebuild row *local* of one shard alone — the random-access path.
+
+    Same per-row reconstruction as :func:`decode_shard`, so the result
+    equals ``decode_shard(...).scenarios[local]`` field for field.
+    """
+    return _decode_row(
+        scenario_table[local],
+        instance_table["job"],
+        instance_table["load"],
+        job_names,
+        signatures,
+    )
+
+
+def _decode_row(row, jobs, loads, job_names, signatures) -> Scenario:
+    start = int(row["inst_offset"])
+    stop = start + int(row["inst_count"])
+    counts: dict[str, int] = {}
+    instances = []
+    for position in range(start, stop):
+        name = job_names[jobs[position]]
+        counts[name] = counts.get(name, 0) + 1
+        instances.append(
+            RunningInstance(
+                signature=signatures[name], load=float(loads[position])
             )
         )
-    return ScenarioDataset(shape=shape, scenarios=tuple(scenarios))
+    return Scenario(
+        scenario_id=int(row["scenario_id"]),
+        key=tuple(sorted(counts.items())),
+        instances=tuple(instances),
+        n_occurrences=int(row["n_occurrences"]),
+        total_duration_s=float(row["total_duration_s"]),
+    )
+
+
+def job_count_rows(
+    scenario_table: np.ndarray,
+    instance_table: np.ndarray,
+    n_jobs: int,
+) -> np.ndarray:
+    """Per-scenario instance count of every interned job, shape
+    ``(rows, n_jobs)``, straight from one shard's columns (no decode)."""
+    rows = scenario_table.shape[0]
+    owner = np.repeat(
+        np.arange(rows, dtype=np.int64),
+        np.asarray(scenario_table["inst_count"], dtype=np.int64),
+    )
+    jobs = np.asarray(instance_table["job"], dtype=np.int64)
+    return np.bincount(
+        owner * n_jobs + jobs, minlength=rows * n_jobs
+    ).reshape(rows, n_jobs)

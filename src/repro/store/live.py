@@ -218,6 +218,10 @@ class StoreSlice:
             else:
                 yield from dataset.iter_batches(batch_size)
 
+    def job_count_table(self):
+        """Job instance counts of the slice's rows, from the columns."""
+        return self._store.job_count_table(self.start, self.stop)
+
     def durations(self) -> np.ndarray:
         """Observed durations for the slice, from the raw columns."""
         if len(self) == 0:
@@ -315,6 +319,9 @@ class TailingSource:
 
     def weights(self) -> np.ndarray:
         return self._store.weights()
+
+    def job_count_table(self):
+        return self._store.job_count_table()
 
     def durations(self) -> np.ndarray:
         return self._store.durations()

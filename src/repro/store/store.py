@@ -34,6 +34,7 @@ from ..cluster.scenario import (
     normalized_weights,
 )
 from ..cluster.source import (
+    JobCountTable,
     ScenarioContentHasher,
     ScenarioSource,
     scenario_schema,
@@ -54,9 +55,11 @@ from .format import (
     StoreCorruptionError,
     StoreError,
     array_digest,
+    decode_scenario,
     decode_shard,
     encode_shard,
     fsync_path,
+    job_count_rows,
     read_shard_array,
     write_array_atomic,
 )
@@ -73,10 +76,12 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-#: Decoded-shard cache depth for random access (``__getitem__``): the
-#: representative-extraction access pattern is runs of hits within one
-#: group's shard with occasional jumps back, so two slots suffice.
-_DECODE_CACHE_SLOTS = 2
+#: Shard-array cache depth for random access (``__getitem__``): the
+#: member-lookup access pattern is runs of hits within one group's
+#: shard with occasional jumps back, so two slots suffice.  The slots
+#: hold the digest-verified raw arrays, not decoded scenarios: a lookup
+#: decodes only the row it asks for.
+_ARRAY_CACHE_SLOTS = 2
 
 
 class StoreWriter:
@@ -287,8 +292,8 @@ class ShardedScenarioStore:
     scalar columns needed globally — the observation durations behind
     ``weights()`` — are assembled straight from the mapped structured
     arrays without decoding scenarios.  Random access via ``__getitem__``
-    decodes the owning shard and keeps the last few decoded shards
-    cached.
+    decodes only the requested row, from the owning shard's arrays; the
+    last few shards' verified arrays stay cached.
     """
 
     def __init__(self, path, manifest: dict[str, Any]) -> None:
@@ -306,7 +311,7 @@ class ShardedScenarioStore:
         self._row_offsets = np.concatenate(
             [[0], np.cumsum([entry["rows"] for entry in self._shards])]
         ).astype(np.int64)
-        self._decoded: dict[int, ScenarioDataset] = {}
+        self._arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._weights_cache: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -352,7 +357,7 @@ class ShardedScenarioStore:
         already-known shard prefix must be byte-identical (same names
         and digests); anything else means the store was rewritten in
         place and the reader must reopen from scratch
-        (:class:`StoreCorruptionError`).  Decoded-shard cache entries
+        (:class:`StoreCorruptionError`).  Shard-array cache entries
         survive a refresh: committed shards are immutable.
         """
         manifest_path = self.path / MANIFEST_NAME
@@ -423,7 +428,14 @@ class ShardedScenarioStore:
             np.searchsorted(self._row_offsets, index, side="right") - 1
         )
         local = index - int(self._row_offsets[shard])
-        return self._shard_dataset(shard).scenarios[local]
+        scenario_table, instance_table = self._shard_arrays(shard)
+        return decode_scenario(
+            scenario_table,
+            instance_table,
+            local,
+            self.job_names,
+            self.signatures,
+        )
 
     # ------------------------------------------------------------------
     def load_shard_arrays(
@@ -460,22 +472,47 @@ class ShardedScenarioStore:
             )
         return scenario_table, instance_table
 
-    def _shard_dataset(self, shard: int) -> ScenarioDataset:
-        cached = self._decoded.get(shard)
+    def _shard_arrays(self, shard: int) -> tuple[np.ndarray, np.ndarray]:
+        """Verified arrays of one shard, through the two-slot cache."""
+        cached = self._arrays.get(shard)
         if cached is not None:
             return cached
-        scenario_table, instance_table = self.load_shard_arrays(shard)
-        dataset = decode_shard(
-            scenario_table,
-            instance_table,
+        arrays = self.load_shard_arrays(shard)
+        while len(self._arrays) >= _ARRAY_CACHE_SLOTS:
+            self._arrays.pop(next(iter(self._arrays)))
+        self._arrays[shard] = arrays
+        return arrays
+
+    def _shard_dataset(self, shard: int) -> ScenarioDataset:
+        """Every scenario of one shard, decoded."""
+        return decode_shard(
+            *self._shard_arrays(shard),
             self.job_names,
             self.signatures,
             self.shape,
         )
-        while len(self._decoded) >= _DECODE_CACHE_SLOTS:
-            self._decoded.pop(next(iter(self._decoded)))
-        self._decoded[shard] = dataset
-        return dataset
+
+    def job_count_table(
+        self, start: int = 0, stop: int | None = None
+    ) -> JobCountTable:
+        """Per-scenario job instance counts of rows ``[start, stop)``.
+
+        Read from the instance tables alone — no scenario is decoded —
+        so resolving a model's member lookups costs one columnar pass.
+        """
+        stop = len(self) if stop is None else stop
+        n_jobs = len(self.job_names)
+        parts = [np.zeros((0, n_jobs), dtype=np.int64)]
+        for shard in range(self.n_shards):
+            base = int(self._row_offsets[shard])
+            top = int(self._row_offsets[shard + 1])
+            if top <= start or base >= stop:
+                continue
+            counts = job_count_rows(*self.load_shard_arrays(shard), n_jobs)
+            parts.append(counts[max(0, start - base) : min(top, stop) - base])
+        return JobCountTable.from_columns(
+            self.job_names, np.concatenate(parts), self.signatures
+        )
 
     @property
     def supports_shard_refs(self) -> bool:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import extract_representatives
 
+from .member_oracle import assert_table_matches_walk, first_member_where
+
 
 @pytest.fixture(scope="module")
 def reps(small_flare):
@@ -62,8 +64,8 @@ class TestLookups:
     def test_first_member_where_walks_ranking(self, reps, small_flare):
         dataset = small_flare.dataset
         for group in reps.groups:
-            found = group.first_member_where(
-                dataset, lambda s: bool(s.hp_instances)
+            found = first_member_where(
+                group, dataset, lambda s: bool(s.hp_instances)
             )
             if found is None:
                 continue
@@ -76,8 +78,8 @@ class TestLookups:
 
     def test_first_member_where_none_when_no_match(self, reps, small_flare):
         for group in reps.groups:
-            assert group.first_member_where(
-                small_flare.dataset, lambda s: False
+            assert first_member_where(
+                group, small_flare.dataset, lambda s: False
             ) is None
 
     def test_job_instance_weight(self, reps, small_flare):
@@ -107,14 +109,15 @@ class TestLookups:
 
 
 class TestColumnarDifferential:
-    """Columnar member-search fast paths vs the scalar reference walk.
+    """The pre-resolved member table vs the per-member reference walk.
 
-    ``first_member_with_job`` / ``first_member_with_hp`` answer from
-    cached per-job count columns built in one sequential pass;
-    ``ClusterGroup.first_member_where`` walks the ranking with random
-    dataset access.  Same for ``job_instance_weight`` vs the inline
-    weighted sum.  Selection must match exactly and weights bit for
-    bit, or estimation silently changes which scenarios it replays.
+    ``first_member_with_job`` / ``first_member_with_hp`` answer from the
+    :class:`~repro.core.representatives.MemberTable`, resolved once from
+    the population's job-count columns; the oracle in
+    ``tests/core/member_oracle.py`` walks the ranking with random dataset
+    access.  Same for ``job_instance_weight`` vs the inline weighted
+    sum.  Selection must match exactly and weights bit for bit, or
+    estimation silently changes which scenarios it replays.
     """
 
     def test_member_selection_matches_scalar_walk(self, reps, small_flare):
@@ -124,16 +127,16 @@ class TestColumnarDifferential:
         )
         for group in reps.groups:
             fast = reps.first_member_with_hp(group)
-            slow = group.first_member_where(
-                dataset, lambda s: bool(s.hp_instances)
+            slow = first_member_where(
+                group, dataset, lambda s: bool(s.hp_instances)
             )
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast.scenario_id == slow.scenario_id
             for job in jobs:
                 fast = reps.first_member_with_job(group, job)
-                slow = group.first_member_where(
-                    dataset, lambda s: s.count_of(job) > 0
+                slow = first_member_where(
+                    group, dataset, lambda s: s.count_of(job) > 0
                 )
                 assert (fast is None) == (slow is None), (
                     group.cluster_id,
@@ -165,3 +168,61 @@ class TestColumnarDifferential:
         for group in reps.groups:
             assert reps.first_member_with_job(group, "no-such-job") is None
             assert reps.job_instance_weight(group, "no-such-job") == 0.0
+
+    def test_whole_table_matches_walk(self, reps, small_flare):
+        assert assert_table_matches_walk(reps, small_flare.dataset) > 0
+
+    def test_table_embeds_only_named_members(self, reps):
+        table = reps.member_table()
+        named = {g.representative_index for g in reps.groups}
+        named.update(i for i in table.hp.values() if i is not None)
+        for per_group in table.jobs.values():
+            named.update(i for i in per_group.values() if i is not None)
+        assert set(table.scenarios) == named
+
+
+class TestStoreBackedTable:
+    """The same table, resolved from a store's instance tables."""
+
+    def test_store_fit_table_matches_walk(self, small_sim, tmp_path):
+        from repro.core import Flare, FlareConfig
+        from repro.core.analyzer import AnalyzerConfig
+        from repro.store import write_store
+
+        store = write_store(small_sim.dataset, tmp_path / "s", shard_size=64)
+        flare = Flare(
+            FlareConfig(analyzer=AnalyzerConfig(n_clusters=6))
+        ).fit(store)
+        assert assert_table_matches_walk(flare.representatives, store) > 0
+
+    def test_store_resolution_decodes_only_named_rows(
+        self, small_sim, tmp_path
+    ):
+        from repro.core.representatives import resolve_member_table
+        from repro.store import write_store
+
+        store = write_store(small_sim.dataset, tmp_path / "s", shard_size=64)
+        groups = extract_representatives(
+            _analysis_of(small_sim), small_sim.dataset
+        ).groups
+        calls = []
+        original = type(store).__getitem__
+
+        class Counting(type(store)):
+            def __getitem__(self, index):
+                calls.append(index)
+                return original(self, index)
+
+        store.__class__ = Counting
+        table = resolve_member_table(groups, store)
+        assert sorted(calls) == sorted(table.scenarios)
+        assert len(set(calls)) == len(calls)
+
+
+def _analysis_of(sim):
+    from repro.core import Flare, FlareConfig
+    from repro.core.analyzer import AnalyzerConfig
+
+    return Flare(FlareConfig(analyzer=AnalyzerConfig(n_clusters=6))).fit(
+        sim.dataset
+    ).analysis

@@ -1,6 +1,7 @@
 """Unit tests for JSON persistence."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from repro.io import (
     load_model,
     save_dataset,
     save_model,
+    state_sha256,
+    verify_model,
 )
 
 
@@ -163,7 +166,15 @@ class TestStoreBackedModelPersistence:
         save_model(store_fitted, path)
         payload = json.loads(path.read_text())
         assert "dataset" not in payload
-        assert payload["dataset_store"]["content_digest"] == store.digest()
+        assert payload["source"] == {
+            "kind": "store",
+            "path": str(store.path.resolve()),
+        }
+        population = payload["state"]["population"]
+        assert population["content_digest"] == store.digest()
+        # Only the member scenarios evaluation replays are embedded.
+        embedded = payload["state"]["members"]["scenarios"]
+        assert len(embedded) <= len(store)
 
     def test_reload_reproduces_estimates(self, store_fitted, tmp_path):
         path = tmp_path / "model.json"
@@ -189,10 +200,47 @@ class TestStoreBackedModelPersistence:
             scenarios=tiny_dataset.scenarios[:3],
         )
         other = write_store(truncated, tmp_path / "other", shard_size=2)
-        payload["dataset_store"]["path"] = str(other.path)
+        payload["source"]["path"] = str(other.path)
         path.write_text(json.dumps(payload))
+        # The state never needed the population: loading still works,
+        # and only the operations that open the population notice.
+        loaded = load_model(path)
+        assert loaded.evaluate(FEATURE_1_CACHE).reduction_pct == (
+            store_fitted.evaluate(FEATURE_1_CACHE).reduction_pct
+        )
         with pytest.raises(ValueError, match="digest"):
-            load_model(path)
+            loaded.dataset
+        with pytest.raises(ValueError, match="digest"):
+            verify_model(path)
+
+    def test_loaded_model_survives_store_deletion(
+        self, tiny_dataset, tmp_path
+    ):
+        from repro.store import write_store
+
+        store = write_store(tiny_dataset, tmp_path / "store", shard_size=2)
+        config = FlareConfig(
+            analyzer=AnalyzerConfig(n_clusters=2, kmeans_restarts=2, seed=1)
+        )
+        fitted = Flare(config).fit(store)
+        path = tmp_path / "model.json"
+        save_model(fitted, path)
+        shutil.rmtree(store.path)
+
+        loaded = load_model(path)
+        assert loaded.evaluate(FEATURE_1_CACHE).reduction_pct == (
+            fitted.evaluate(FEATURE_1_CACHE).reduction_pct
+        )
+        assert loaded.evaluate_job(FEATURE_1_CACHE, "WSC").reduction_pct == (
+            fitted.evaluate_job(FEATURE_1_CACHE, "WSC").reduction_pct
+        )
+        assert loaded.health(tiny_dataset).to_dict() == (
+            fitted.health(tiny_dataset).to_dict()
+        )
+        with pytest.raises(ValueError, match=str(store.path)):
+            loaded.dataset
+        with pytest.raises(ValueError, match="cannot be opened"):
+            verify_model(path)
 
 
 class TestConfigRoundTrip:
@@ -251,12 +299,19 @@ class TestModelRoundTrip:
         path = tmp_path / "model.json"
         save_model(fitted, path)
         payload = json.loads(path.read_text())
-        payload["fitted_digest"] = "0" * 64
+        payload["state"]["fitted_digest"] = "0" * 64
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="does not reproduce"):
+        # The state no longer matches its checksum.
+        with pytest.raises(ValueError, match="integrity"):
             load_model(path)
         # verify=False skips the check.
         assert load_model(path, verify=False) is not None
+        # A consistently re-hashed forgery passes the checksum but not
+        # the re-fit.
+        payload["state_sha256"] = state_sha256(payload["state"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="does not reproduce"):
+            verify_model(path)
 
     def test_version_check(self, fitted, tmp_path):
         path = tmp_path / "model.json"

@@ -1,6 +1,10 @@
 """The stable ``repro.api`` surface and the legacy-path deprecation shims."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -42,6 +46,39 @@ class TestApiSurface:
             resolve_executor,
             resolve_runtime,
         )
+
+
+class TestLazyHeavyImports:
+    def test_api_import_leaves_scipy_modules_unloaded(self):
+        """``scipy.optimize`` and ``scipy.special`` are imported by the
+        functions that use them, so a CLI process does not pay for them
+        at start-up."""
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        probe = (
+            "import sys, repro.api; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_lazy_users_still_work(self):
+        from repro.perfmodel.calibration import fit_mrc
+        from repro.stats.comparison import adjusted_rand_index
+
+        assert adjusted_rand_index([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
+        fit = fit_mrc([1.0, 2.0, 4.0, 8.0], [0.5, 0.35, 0.2, 0.12])
+        assert fit.n_points == 4
 
 
 class TestRetiredTopLevelImports:

@@ -353,3 +353,52 @@ class TestIngestAndDiagnose:
         out = capsys.readouterr().out
         assert "Representativeness" in out
         assert "loosest group" in out
+
+
+class TestModelVerify:
+    def test_verify_passes_on_fitted_model(self, model_path, capsys):
+        code = main(["model", "verify", str(model_path)])
+        assert code == 0
+        assert "verified" in capsys.readouterr().out
+
+    def test_verify_fails_on_tampered_model(self, model_path, tmp_path, capsys):
+        import json
+
+        payload = json.loads(model_path.read_text())
+        payload["state"]["cluster_weights"][0] += 1e-6
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["model", "verify", str(bad)]) == 1
+        assert "integrity" in capsys.readouterr().err
+
+    def test_store_model_evaluates_after_store_is_deleted(
+        self, tmp_path, capsys
+    ):
+        import shutil
+
+        store = tmp_path / "store"
+        model = tmp_path / "model.json"
+        assert main(
+            [
+                "simulate", "--seed", "5", "--scenarios", "40",
+                "--store", str(store), "--shard-size", "16",
+            ]
+        ) == 0
+        assert main(
+            [
+                "fit", "--dataset", str(store), "--clusters", "4",
+                "--out", str(model),
+            ]
+        ) == 0
+        assert main(["model", "verify", str(model)]) == 0
+        capsys.readouterr()
+        assert main(
+            ["evaluate", "--model", str(model), "--feature", "feature1"]
+        ) == 0
+        before = capsys.readouterr().out
+        shutil.rmtree(store)
+        assert main(
+            ["evaluate", "--model", str(model), "--feature", "feature1"]
+        ) == 0
+        assert capsys.readouterr().out == before
+        assert main(["model", "verify", str(model)]) == 1

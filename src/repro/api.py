@@ -41,8 +41,9 @@ The surface groups into:
   (`ScenarioSource`, `ShardedScenarioStore`, `StoreWriter`,
   `open_store`, `write_store`, `compact_store`; see docs/store.md);
 * **perfmodel** — the contention solver's batched path
-  (`ScenarioBatch`, `solve_colocation`, `solve_colocation_batch`,
-  `solve_colocation_many`, `SOLVER_MODES`) and the content-addressed
+  (`ScenarioBatch`, `LaneSolution`, `solve_colocation`,
+  `solve_colocation_batch`, `solve_colocation_many`, `SOLVER_MODES`)
+  and the content-addressed
   solve memo (`SolveMemo`, `resolve_memo`, `MEMO_MODES`; see
   docs/perfmodel.md).
 """
@@ -156,6 +157,7 @@ from .perfmodel import (
     MEMO_MODES,
     SOLVER_MODES,
     ColocationPerformance,
+    LaneSolution,
     MachinePerf,
     RunningInstance,
     ScenarioBatch,
@@ -277,6 +279,7 @@ __all__ = [
     "RunningInstance",
     "ColocationPerformance",
     "ScenarioBatch",
+    "LaneSolution",
     "SOLVER_MODES",
     "MEMO_MODES",
     "SolveMemo",

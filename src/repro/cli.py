@@ -824,6 +824,13 @@ class _SegmentReplay:
     def iter_batches(self, batch_size=None):
         return self._view().iter_batches(batch_size)
 
+    def iter_tables(self):
+        return self._view().iter_tables()
+
+    @property
+    def signatures(self):
+        return self._view().signatures
+
     def weights(self):
         return self._view().weights()
 

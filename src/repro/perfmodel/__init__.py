@@ -8,6 +8,7 @@ per-job MIPS, CPI stacks and resource counters.
 
 from .batch import (
     SOLVER_MODES,
+    LaneSolution,
     ScenarioBatch,
     resolve_solver_mode,
     solve_colocation_batch,
@@ -49,6 +50,7 @@ __all__ = [
     "solve_colocation_cached",
     "inherent_performance",
     "ScenarioBatch",
+    "LaneSolution",
     "SOLVER_MODES",
     "resolve_solver_mode",
     "solve_colocation_batch",

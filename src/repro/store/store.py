@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
@@ -285,6 +286,46 @@ class StoreWriter:
         self._buffer.clear()
 
 
+@dataclass(frozen=True)
+class ShardTables:
+    """Rows of one shard as its columnar tables, not yet decoded.
+
+    ``scenario_table`` is a row slice of the shard's scenario table; its
+    ``inst_offset`` values index the shard's whole ``instance_table``.
+    This is what :meth:`ScenarioBatch.from_tables` packs, so consumers
+    that need only arrays (the Profiler) never build a :class:`Scenario`.
+    """
+
+    scenario_table: np.ndarray
+    instance_table: np.ndarray
+    job_names: list[str]
+    signatures: dict[str, JobSignature]
+    shape: MachineShape
+
+    def __len__(self) -> int:
+        return len(self.scenario_table)
+
+    def decode(self) -> ScenarioDataset:
+        """The rows as in-memory scenarios."""
+        return decode_shard(
+            self.scenario_table,
+            self.instance_table,
+            self.job_names,
+            self.signatures,
+            self.shape,
+        )
+
+    def job_indices(self) -> np.ndarray:
+        """Interned job index of every instance of these rows, in order."""
+        if len(self) == 0:
+            return np.zeros(0, dtype=np.int64)
+        first = int(self.scenario_table["inst_offset"][0])
+        stop = int(self.scenario_table["inst_offset"][-1]) + int(
+            self.scenario_table["inst_count"][-1]
+        )
+        return np.asarray(self.instance_table["job"][first:stop], np.int64)
+
+
 class ShardedScenarioStore:
     """Read side of the store; a disk-backed :class:`ScenarioSource`.
 
@@ -500,19 +541,61 @@ class ShardedScenarioStore:
         Read from the instance tables alone — no scenario is decoded —
         so resolving a model's member lookups costs one columnar pass.
         """
-        stop = len(self) if stop is None else stop
         n_jobs = len(self.job_names)
         parts = [np.zeros((0, n_jobs), dtype=np.int64)]
-        for shard in range(self.n_shards):
-            base = int(self._row_offsets[shard])
-            top = int(self._row_offsets[shard + 1])
-            if top <= start or base >= stop:
-                continue
+        for shard, lo, hi in self._overlapping(start, stop):
             counts = job_count_rows(*self.load_shard_arrays(shard), n_jobs)
-            parts.append(counts[max(0, start - base) : min(top, stop) - base])
+            parts.append(counts[lo:hi])
         return JobCountTable.from_columns(
             self.job_names, np.concatenate(parts), self.signatures
         )
+
+    def _overlapping(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[int, int, int]]:
+        """``(shard, lo, hi)``: local row range of every shard that
+        overlaps global rows ``[start, stop)``, in order."""
+        stop = len(self) if stop is None else stop
+        offsets = self._row_offsets
+        for shard in range(self.n_shards):
+            base = int(offsets[shard])
+            top = int(offsets[shard + 1])
+            if top <= start or base >= stop:
+                continue
+            yield shard, max(0, start - base), min(top, stop) - base
+
+    def iter_tables(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[ShardTables]:
+        """Rows ``[start, stop)`` as per-shard :class:`ShardTables`.
+
+        One item per overlapping shard — the batch boundaries of
+        :meth:`iter_batches` — read through the verified two-slot array
+        cache and never decoded.
+        """
+        for shard, lo, hi in self._overlapping(start, stop):
+            scenario_table, instance_table = self._shard_arrays(shard)
+            yield ShardTables(
+                scenario_table=scenario_table[lo:hi],
+                instance_table=instance_table,
+                job_names=self.job_names,
+                signatures=self.signatures,
+                shape=self.shape,
+            )
+
+    def signatures_in_order(
+        self, start: int = 0, stop: int | None = None
+    ) -> dict[str, JobSignature]:
+        """Job name -> signature over rows ``[start, stop)``, in order of
+        first appearance — what walking the decoded rows would collect,
+        read from the instance columns."""
+        seen: dict[int, None] = {}
+        for tables in self.iter_tables(start, stop):
+            jobs, first = np.unique(tables.job_indices(), return_index=True)
+            for job in jobs[np.argsort(first, kind="stable")].tolist():
+                seen.setdefault(job)
+        names = [self.job_names[job] for job in seen]
+        return {name: self.signatures[name] for name in names}
 
     @property
     def supports_shard_refs(self) -> bool:

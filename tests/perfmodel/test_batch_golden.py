@@ -182,5 +182,5 @@ def test_batched_solver_reproduces_golden(golden):
             for case in cases
         ]
         solutions = solve_colocation_batch(machine, population)
-        for case, solution in zip(cases, solutions):
-            _assert_matches_case(case, solution)
+        for row, case in enumerate(cases):
+            _assert_matches_case(case, solutions[row])

@@ -179,6 +179,42 @@ class TestStoreSlice:
         with pytest.raises(ValueError):
             StoreSlice(store, 5, 11)
 
+    def test_sliced_rows_equal_materialised_rows(self, store):
+        full = store.to_dataset().scenarios
+        for start, stop in ((0, 10), (1, 5), (4, 9), (3, 6), (7, 7)):
+            view = StoreSlice(store, start, stop)
+            batches = list(view.iter_batches())
+            assert [s for b in batches for s in b.scenarios] == list(
+                full[start:stop]
+            )
+            tables = list(view.iter_tables())
+            assert [len(b) for b in batches] == [len(t) for t in tables]
+            assert [
+                s for t in tables for s in t.decode().scenarios
+            ] == list(full[start:stop])
+
+    def test_signatures_equal_the_walk_in_order(self, store):
+        from repro.core.pipeline import _catalogue_from
+
+        for start, stop in ((0, 10), (2, 9), (5, 6), (4, 4)):
+            view = StoreSlice(store, start, stop)
+            walked: dict = {}
+            for batch in view.iter_batches():
+                for row in batch.scenarios:
+                    for inst in row.instances:
+                        walked.setdefault(inst.signature.name, inst.signature)
+            assert list(view.signatures.items()) == list(walked.items())
+            assert list(_catalogue_from(view).items()) == list(walked.items())
+
+    def test_new_since_is_slice_relative(self, store):
+        from repro.core.refit import _rows_after
+
+        view = StoreSlice(store, 2, 9)
+        fresh = _rows_after(view, 3)
+        assert isinstance(fresh, StoreSlice)
+        assert (fresh.start, fresh.stop) == (5, 9)
+        assert [s.scenario_id for s in fresh] == [5, 6, 7, 8]
+
 
 class TestTailingSource:
     def test_tail_tracks_growth(self, tmp_path):
@@ -196,6 +232,26 @@ class TestTailingSource:
         assert tail.generation == 2
         fresh = tail.new_since(before)
         assert [s.scenario_id for s in fresh] == [4, 5, 6, 7, 8]
+        live.close()
+
+    def test_signatures_follow_growth_in_walk_order(self, tmp_path):
+        from repro.core.pipeline import _catalogue_from
+
+        live = LiveStore(tmp_path / "s", DEFAULT_SHAPE, shard_size=4)
+        live.extend(scenario(i) for i in range(3, 6))
+        live.commit()
+        tail = TailingSource(tmp_path / "s")
+        assert list(tail.signatures) == JOBS[3:6]
+        live.extend(scenario(i) for i in range(9))
+        live.commit()
+        tail.refresh()
+        walked: dict = {}
+        for batch in tail.iter_batches():
+            for row in batch.scenarios:
+                for inst in row.instances:
+                    walked.setdefault(inst.signature.name, inst.signature)
+        assert list(tail.signatures.items()) == list(walked.items())
+        assert list(_catalogue_from(tail)) == JOBS[3:6] + JOBS[:3] + JOBS[6:]
         live.close()
 
 

@@ -65,3 +65,59 @@ class TestMeasurementNoise:
         noise = MeasurementNoise(0.02, rng)
         with pytest.raises(ValueError, match="expected"):
             noise.apply(np.zeros(3), specs)
+
+
+class TestBlockNoise:
+    """A ``(rows, n)`` block consumes the stream as per-row calls do."""
+
+    def _block(self, specs, rows=7):
+        rng = np.random.default_rng(5)
+        # Fractions near 1 and tiny counters exercise both clips.
+        return np.where(
+            rng.random((rows, len(specs))) < 0.5,
+            rng.uniform(0.9, 1.0, (rows, len(specs))),
+            rng.uniform(0.0, 3.0, (rows, len(specs))),
+        )
+
+    def test_block_equals_rows(self, specs):
+        values = self._block(specs)
+        block = MeasurementNoise(0.2, np.random.default_rng(9)).apply(
+            values, specs
+        )
+        noise = MeasurementNoise(0.2, np.random.default_rng(9))
+        rows = np.stack([noise.apply(row, specs) for row in values])
+        assert block.tobytes() == rows.tobytes()
+
+    def test_skip_then_block_equals_full_run(self, specs):
+        values = self._block(specs, rows=9)
+        full = MeasurementNoise(0.05, np.random.default_rng(2)).apply(
+            values, specs
+        )
+        resumed = MeasurementNoise(0.05, np.random.default_rng(2))
+        resumed.skip(4, len(specs))
+        tail = resumed.apply(values[4:], specs)
+        assert tail.tobytes() == full[4:].tobytes()
+
+    def test_noise_offset_resume_matches_full_profile(self, tiny_dataset):
+        from repro.telemetry import Profiler
+
+        full = Profiler(seed=3).profile(tiny_dataset).matrix
+        tail = list(
+            Profiler(seed=3).iter_profile(
+                type(tiny_dataset)(
+                    shape=tiny_dataset.shape,
+                    scenarios=tiny_dataset.scenarios[2:],
+                ),
+                noise_offset=2,
+            )
+        )
+        assert np.concatenate([b.matrix for b in tail]).tobytes() == (
+            full[2:].tobytes()
+        )
+
+    def test_block_shape_checked(self, specs, rng):
+        noise = MeasurementNoise(0.02, rng)
+        with pytest.raises(ValueError, match="expected"):
+            noise.apply(np.zeros((2, 3)), specs)
+        with pytest.raises(ValueError, match="expected"):
+            noise.apply(np.zeros((1, 2, len(specs))), specs)

@@ -106,8 +106,9 @@ class TestVectorisedDifferential:
     """The vectorised temporal sampler vs the scalar reference.
 
     ``_temporal_metrics`` draws every jitter factor in one RNG call and
-    batches the co-location solves; ``_temporal_metrics_scalar`` is the
-    original per-sample loop kept as ground truth.  The two must agree
+    batches the co-location solves; the oracle's
+    ``temporal_metrics_scalar`` is the original per-sample loop kept as
+    ground truth.  The two must agree
     bit for bit — any platform or refactor that breaks the documented
     stream/reduction equivalences fails here first.
     """
@@ -117,7 +118,7 @@ class TestVectorisedDifferential:
 
         from repro.perfmodel.batch import solve_colocation_many
         from repro.telemetry.metrics import MetricLevel
-        from repro.telemetry.profiler import _level_metrics
+        from .metric_oracle import level_metrics, temporal_metrics_scalar
 
         machine = dataset.shape.perf
         bits = lambda x: struct.pack("<d", x)  # noqa: E731
@@ -135,7 +136,7 @@ class TestVectorisedDifferential:
                 (MetricLevel.HP, lambda p: p.is_high_priority),
             ):
                 subset = [(ri, pi) for ri, pi in pairs if keep(pi)]
-                for base, value in _level_metrics(
+                for base, value in level_metrics(
                     subset,
                     dataset.shape.vcpus,
                     dataset.shape.dram_gb,
@@ -145,8 +146,8 @@ class TestVectorisedDifferential:
             vectorised = profiler._temporal_metrics(
                 scenario, machine, base_values
             )
-            scalar = profiler._temporal_metrics_scalar(
-                scenario, machine, base_values
+            scalar = temporal_metrics_scalar(
+                profiler, scenario, machine, base_values
             )
             assert vectorised.keys() == scalar.keys()
             for name in scalar:

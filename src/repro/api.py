@@ -42,10 +42,9 @@ The surface groups into:
   `open_store`, `write_store`, `compact_store`; see docs/store.md);
 * **perfmodel** — the contention solver's batched path
   (`ScenarioBatch`, `LaneSolution`, `solve_colocation`,
-  `solve_colocation_batch`, `solve_colocation_many`, `SOLVER_MODES`)
-  and the content-addressed
-  solve memo (`SolveMemo`, `resolve_memo`, `MEMO_MODES`; see
-  docs/perfmodel.md).
+  `solve_colocation_batch`, `solve_colocation_many`) and the
+  content-addressed solve memo (`SolveMemo`, `resolve_memo`,
+  `MEMO_MODES`; see docs/perfmodel.md).
 """
 
 from __future__ import annotations
@@ -155,7 +154,6 @@ from .runtime import (
 )
 from .perfmodel import (
     MEMO_MODES,
-    SOLVER_MODES,
     ColocationPerformance,
     LaneSolution,
     MachinePerf,
@@ -280,7 +278,6 @@ __all__ = [
     "ColocationPerformance",
     "ScenarioBatch",
     "LaneSolution",
-    "SOLVER_MODES",
     "MEMO_MODES",
     "SolveMemo",
     "resolve_memo",

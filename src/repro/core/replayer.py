@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from ..cluster.features import BASELINE, Feature
 from ..cluster.machine import MachineShape
 from ..cluster.scenario import Scenario
-from ..perfmodel.batch import resolve_solver_mode
 from ..perfmodel.contention import RunningInstance
 from ..perfmodel.memo import validate_memo_spec
 from ..perfmodel.signatures import JobSignature
@@ -93,11 +92,6 @@ class Replayer:
         to evaluate features on normalised tail latency instead of
         normalised MIPS — the paper's "many alternatives can be
         utilized" hook.
-    solver:
-        Contention-solver path for batched replays: ``"scalar"``,
-        ``"batched"``, or ``"auto"`` (batched whenever more than one
-        scenario is replayed together).  Only the default MIPS metric
-        batches; a custom *metric* always evaluates per scenario.
     memo:
         Optional content-addressed solve memo: ``"off"``/``None``
         (default), ``"memory"``, ``"store:<path>"``, or a live
@@ -108,7 +102,7 @@ class Replayer:
         resolves its own per-process instance, and store-backed specs
         make those workers concurrent writers of one shared memo
         directory.  Only the batched replay path memoises — a custom
-        *metric* (and the scalar fallback) evaluates unmemoised.
+        *metric* (and a single-scenario replay) evaluates unmemoised.
     """
 
     def __init__(
@@ -117,16 +111,13 @@ class Replayer:
         *,
         catalogue: dict[str, "JobSignature"] | None = None,
         metric=None,
-        solver: str = "auto",
         memo=None,
     ) -> None:
         self.shape = shape
         self._catalogue = catalogue
         self._metric = metric if metric is not None else scenario_performance
-        resolve_solver_mode(solver, 0)  # validate eagerly
         if isinstance(memo, str):
             validate_memo_spec(memo)  # validate eagerly, resolve lazily
-        self.solver = solver
         self.memo = memo
 
     @property
@@ -212,13 +203,12 @@ class Replayer:
         baseline_machine = BASELINE(self.shape.perf)
         feature_machine = feature(self.shape.perf)
         baselines = scenario_performance_many(
-            baseline_machine, replay_scenarios, solver=self.solver, memo=self.memo
+            baseline_machine, replay_scenarios, memo=self.memo
         )
         enabled = scenario_performance_many(
             feature_machine,
             replay_scenarios,
             normalize_machine=baseline_machine,
-            solver=self.solver,
             memo=self.memo,
         )
         return tuple(
@@ -255,16 +245,16 @@ class Replayer:
         measurements; the estimation layer drops them and renormalises
         the surviving group weights.
 
-        With the batched solver the executor dispatches whole scenario
-        *groups* per task (same group size as the scalar path's chunk
-        size), each group solved as one vectorised batch in the worker;
-        a skipped group expands back into one ``TaskFailure`` per
-        scenario so result positions are unchanged.
+        With more than one scenario and the default MIPS metric, the
+        executor dispatches whole scenario *groups* per task (same group
+        size as the per-scenario path's chunk size), each group solved
+        as one vectorised batch in the worker; a skipped group expands
+        back into one ``TaskFailure`` per scenario so result positions
+        are unchanged.
         """
         from ..obs import span
 
-        mode = resolve_solver_mode(self.solver, len(scenarios))
-        if mode == "batched" and self._metric is scenario_performance:
+        if len(scenarios) > 1 and self._metric is scenario_performance:
             groups = [
                 scenarios[start : start + _REPLAY_GROUP_SIZE]
                 for start in range(0, len(scenarios), _REPLAY_GROUP_SIZE)
@@ -274,7 +264,7 @@ class Replayer:
                 "replayer.replay_many",
                 feature=feature.name,
                 n_scenarios=len(scenarios),
-                solver="batched",
+                batched=True,
             ):
                 grouped = resolve_executor(executor).map(
                     task, groups, chunk_size=1, stage="replays"

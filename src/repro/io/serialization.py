@@ -60,6 +60,9 @@ __all__ = [
 _FORMAT_VERSION = 2
 #: Version of the dataset payload, unchanged since models moved to v2.
 _DATASET_FORMAT_VERSION = 1
+#: Config keys older artefacts may hold for settings that no longer
+#: exist (``solver`` chose between bit-identical solver paths).
+_RETIRED_CONFIG_KEYS = ("solver",)
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +296,6 @@ def config_to_dict(config: FlareConfig) -> dict[str, Any]:
         "temporal_samples": config.temporal_samples,
         "temporal_jitter": config.temporal_jitter,
         "per_job_metrics": list(config.per_job_metrics),
-        "solver": config.solver,
         "memo": config.memo,
         "runtime": (
             None if config.runtime is None else config.runtime.to_dict()
@@ -312,7 +314,10 @@ def config_to_dict(config: FlareConfig) -> dict[str, Any]:
 
 
 def config_from_dict(data: dict[str, Any]) -> FlareConfig:
-    """Rebuild a pipeline configuration."""
+    """Rebuild a pipeline configuration.
+
+    Keys of retired settings (:data:`_RETIRED_CONFIG_KEYS`) are ignored.
+    """
     raw = data["analyzer"]
     analyzer = AnalyzerConfig(
         variance_target=raw["variance_target"],
@@ -333,7 +338,6 @@ def config_from_dict(data: dict[str, Any]) -> FlareConfig:
         temporal_samples=data.get("temporal_samples", 0),
         temporal_jitter=data.get("temporal_jitter", 0.15),
         per_job_metrics=tuple(data.get("per_job_metrics", ())),
-        solver=data.get("solver", "auto"),
         memo=data.get("memo", "off"),
         runtime=(
             None
@@ -784,13 +788,28 @@ def _refit_artefact(payload: dict[str, Any], path, *, check: bool) -> Flare:
                 )
     elif state_sha256(
         _model_state(flare, payload["state"]["population"])
-    ) != payload["state_sha256"]:
+    ) != state_sha256(_current_state(payload["state"])):
         raise ValueError(
             "re-fitted model reproduces the clustering but not the rest "
             "of the saved state (scaler, PCA basis, centroids, baseline, "
             "interpretations or member table differ)"
         )
     return flare
+
+
+def _current_state(state: dict[str, Any]) -> dict[str, Any]:
+    """*state* without retired config keys: what a re-fit writes today.
+
+    The stored bytes stay guarded by their own ``state_sha256``; this
+    only lets :func:`verify_model` compare a re-fit against an artefact
+    written while a retired setting still existed.
+    """
+    config = {
+        key: value
+        for key, value in state["config"].items()
+        if key not in _RETIRED_CONFIG_KEYS
+    }
+    return dict(state, config=config)
 
 
 def _v1_source(payload: dict[str, Any]):
@@ -921,7 +940,6 @@ def _flare_from_state(payload: dict[str, Any], path) -> Flare:
     flare._replayer = Replayer(
         _shape_from_dict(state["shape"]),
         catalogue=signatures,
-        solver=config.solver,
         memo=config.memo if config.memo != "off" else None,
     )
     flare.lineage = tuple(

@@ -7,10 +7,8 @@ per-job MIPS, CPI stacks and resource counters.
 """
 
 from .batch import (
-    SOLVER_MODES,
     LaneSolution,
     ScenarioBatch,
-    resolve_solver_mode,
     solve_colocation_batch,
     solve_colocation_many,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "inherent_performance",
     "ScenarioBatch",
     "LaneSolution",
-    "SOLVER_MODES",
-    "resolve_solver_mode",
     "solve_colocation_batch",
     "solve_colocation_many",
     "MEMO_MODES",

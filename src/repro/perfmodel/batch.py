@@ -71,13 +71,9 @@ from .signatures import JobSignature
 __all__ = [
     "LaneSolution",
     "ScenarioBatch",
-    "SOLVER_MODES",
-    "resolve_solver_mode",
     "solve_colocation_batch",
     "solve_colocation_many",
 ]
-
-SOLVER_MODES = ("scalar", "batched", "auto")
 
 # Indices into ScenarioBatch.sig_params rows.
 _P_LLC_APKI = 0
@@ -92,22 +88,6 @@ _P_MRC_SHAPE = 8
 _P_MRC_FLOOR = 9
 _P_BUSY_BASE = 10
 _N_PARAMS = 11
-
-
-def resolve_solver_mode(solver: str, n_scenarios: int) -> str:
-    """Resolve a ``solver`` knob value to ``"scalar"`` or ``"batched"``.
-
-    ``"auto"`` picks the batched path whenever there is more than one
-    scenario to solve; a single scenario gains nothing from the batch
-    layout, so it stays on the scalar reference path.
-    """
-    if solver not in SOLVER_MODES:
-        raise ValueError(
-            f"unknown solver {solver!r}; expected one of {SOLVER_MODES}"
-        )
-    if solver == "auto":
-        return "batched" if n_scenarios > 1 else "scalar"
-    return solver
 
 
 @dataclass(eq=False)
@@ -246,8 +226,8 @@ class ScenarioBatch:
         """The packed scenarios as :class:`RunningInstance` tuples.
 
         The inverse of :meth:`from_instances` (same signatures, same
-        float64 loads), for the solver paths that take objects: the
-        scalar reference, the solve memo and the temporal sampler.
+        float64 loads), for the solver paths that take objects:
+        single-scenario solves and the solve memo.
         """
         signatures = self.signatures
         sig_index = self.sig_index.tolist()
@@ -722,15 +702,18 @@ def solve_colocation_many(
     machine: MachinePerf,
     scenarios: Sequence[Sequence[RunningInstance]],
     *,
-    solver: str = "auto",
     cached: bool = False,
     memo=None,
 ) -> Sequence[ColocationPerformance]:
-    """Solve many scenarios through the selected solver path.
+    """Solve many scenarios: batched when there is more than one.
 
-    The result is a read-only sequence: a list on the scalar, cached
-    and memo paths, a :class:`LaneSolution` on the batched uncached
-    path.  Compare it with a list through ``list(...)`` (a
+    Two or more scenarios go through :func:`solve_colocation_batch`; a
+    single scenario gains nothing from the batch layout, so it goes
+    through :func:`solve_colocation`.  The two are bit-identical.
+
+    The result is a read-only sequence: a list on the single-scenario,
+    cached and memo paths, a :class:`LaneSolution` on the batched
+    uncached path.  Compare it with a list through ``list(...)`` (a
     ``LaneSolution`` never equals a list) and copy it before appending.
 
     With ``cached=True`` the shared solve memo is consulted per
@@ -742,17 +725,16 @@ def solve_colocation_many(
     spec string (``"memory"``/``"store:<path>"``), or ``None``/``"off"``.
     When active it supersedes ``cached=``: lookups go through the
     content-addressed two-tier memo (so hits survive across processes
-    and runs), misses are solved through the selected solver path —
-    bit-identical either way — and recorded back into both tiers.
+    and runs), misses are solved by this same size rule and recorded
+    back into both tiers.
     """
-    mode = resolve_solver_mode(solver, len(scenarios))
     if memo is not None:
         from .memo import resolve_memo
 
         live = resolve_memo(memo)
         if live is not None:
-            return _solve_many_memoised(machine, scenarios, mode, live)
-    if mode == "scalar":
+            return _solve_many_memoised(machine, scenarios, live)
+    if len(scenarios) <= 1:
         if cached:
             return [
                 solve_colocation_cached(machine, tuple(instances))
@@ -790,10 +772,9 @@ def solve_colocation_many(
 def _solve_many_memoised(
     machine: MachinePerf,
     scenarios: Sequence[Sequence[RunningInstance]],
-    mode: str,
     memo,
 ) -> list[ColocationPerformance]:
-    """Memo-first solve: hits from the memo, misses via ``mode``'s path.
+    """Memo-first solve: hits from the memo, misses solved in one call.
 
     Mirrors the ``cached=True`` pending-dict shape, but keyed on the
     content digest so hits carry across batches, processes, and runs.
@@ -818,13 +799,7 @@ def _solve_many_memoised(
         else:
             rows.append(i)
     if miss_scenarios:
-        if mode == "scalar":
-            solved = [
-                solve_colocation(machine, instances)
-                for instances in miss_scenarios
-            ]
-        else:
-            solved = solve_colocation_batch(machine, miss_scenarios)
+        solved = solve_colocation_many(machine, miss_scenarios)
         for (key, rows), solution in zip(pending.items(), solved):
             memo.record(key, solution)
             for row in rows:

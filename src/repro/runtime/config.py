@@ -5,7 +5,7 @@ Execution knobs accreted one keyword at a time — ``executor=``,
 ``checkpoint=`` — each threaded separately through the facade, the CLI
 and the experiment context.  :class:`RuntimeConfig` collapses them into
 a single value that travels as one argument, persists in saved models
-(like ``solver=``), and maps one-to-one onto CLI flags:
+(like ``memo=``), and maps one-to-one onto CLI flags:
 
 ==================  ======================  =====================
 legacy keyword      RuntimeConfig field     CLI flag
@@ -22,7 +22,7 @@ legacy keyword      RuntimeConfig field     CLI flag
 
 ``dispatch`` selects how scenario payloads reach process workers (see
 :mod:`repro.runtime.dispatch` and docs/runtime.md): ``"auto"`` picks the
-cheapest safe mode, ``"pickle"`` forces the legacy per-chunk pickling,
+cheapest safe mode, ``"pickle"`` pickles each chunk's own columnar rows,
 ``"shardref"`` ships row-range descriptors into an on-disk store, and
 ``"shm"`` shares packed scenario tables via POSIX shared memory.
 

@@ -24,11 +24,13 @@ This module provides two payload-free transports:
     release through the same ``finally``.
 
 ``pickle``
-    The historical transport, still the right call for serial
-    execution (no copy happens anyway) and whenever payload content
-    must itself be the checkpoint-journal key (in-memory sources under
-    a :class:`~repro.runtime.cache.CheckpointJournal` — shared-memory
-    segment names are per-run, so they would break key stability).
+    Each chunk carries its own rows (for profiling: the columnar table
+    rows of its range, never decoded scenarios).  The right call for
+    serial execution (no copy happens anyway) and whenever payload
+    content must itself be the checkpoint-journal key (in-memory
+    sources under a :class:`~repro.runtime.cache.CheckpointJournal` —
+    shared-memory segment names are per-run, so they would break key
+    stability).
 
 :func:`choose_dispatch` encodes those rules for ``dispatch="auto"``.
 

@@ -10,7 +10,11 @@ noise, and (optionally) persists everything to the in-memory database.
 
 from __future__ import annotations
 
+import copy
+import itertools
+import time
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -20,11 +24,10 @@ from ..cluster.source import ScenarioSource, resolve_source_argument
 from ..perfmodel.batch import (
     LaneSolution,
     ScenarioBatch,
-    resolve_solver_mode,
     solve_colocation_batch,
     solve_colocation_many,
 )
-from ..perfmodel.contention import RunningInstance, solve_colocation
+from ..perfmodel.contention import RunningInstance
 from ..perfmodel.machine import MachinePerf
 from .database import Column, Database, Schema
 from .kernel import N_BASE_METRICS, derive_metrics
@@ -181,12 +184,6 @@ class Profiler:
         notes per-job metrics "would greatly improve the estimation
         accuracy for the job" but inflate the feature space, so they are
         recommended "only when necessary" (§5.3) — hence opt-in.
-    solver:
-        Contention-solver path for multi-scenario collection:
-        ``"scalar"``, ``"batched"``, or ``"auto"`` (batched whenever a
-        call holds more than one scenario).  The paths are
-        bit-identical; the knob exists to keep the scalar reference
-        selectable.
     memo:
         Optional content-addressed solve memo (``"off"``/``None``,
         ``"memory"``, ``"store:<path>"``, or a live
@@ -204,12 +201,10 @@ class Profiler:
         temporal_samples: int = 0,
         temporal_jitter: float = 0.15,
         per_job_metrics: tuple[str, ...] = (),
-        solver: str = "auto",
         memo=None,
     ) -> None:
         if temporal_samples < 0:
             raise ValueError("temporal_samples must be non-negative")
-        resolve_solver_mode(solver, 0)  # validate eagerly
         if isinstance(memo, str):
             from ..perfmodel.memo import validate_memo_spec
 
@@ -246,7 +241,6 @@ class Profiler:
         self.specs = tuple(specs)
         self.noise_sigma = noise_sigma
         self.seed = seed
-        self.solver = solver
         self.memo = memo
         self.database = database
         if database is not None:
@@ -376,11 +370,12 @@ class Profiler:
         row-range descriptors and memory-map the store themselves, so
         no scenario payload crosses the process boundary in either
         direction.  Other sources (or ``dispatch="pickle"``) ship each
-        batch as one pickled chunk — chunks align with shards, and a
-        :class:`~repro.runtime.CheckpointJournal` resumes at that
-        granularity.  Both item kinds are pure content, so a resumed
-        run may use a different executor or window and still hit its
-        journal.
+        batch's own columnar rows as one chunk — a store's are copied
+        from its shard tables without decoding a scenario, an in-memory
+        batch is encoded in the parent.  Chunks align with shards, and
+        a :class:`~repro.runtime.CheckpointJournal` resumes at that
+        granularity.  Either way one task profiles the rows
+        (:class:`_CollectTask`), and both item kinds are pure content.
 
         Measurement noise is applied in the parent, in global row
         order, from the single seeded stream — yielded matrices are
@@ -446,13 +441,9 @@ class Profiler:
                 start_row += len(batch)
             return
 
-        import copy
-        import time
-
-        from ..runtime.config import record_stage_cost, resolve_runtime
+        from ..runtime.config import resolve_runtime
         from ..runtime.dispatch import DispatchError, choose_dispatch
         from ..runtime.executor import ProcessExecutor
-        from ..runtime.resilience import TaskFailure
 
         resolved = resolve_runtime(runtime)
         try:
@@ -474,167 +465,93 @@ class Profiler:
                         "profiling; use 'shardref' (for stores) or "
                         "'pickle'"
                     )
-                mode = "pickle"  # auto: streaming stays on batch chunks
+                mode = "pickle"  # auto: streaming ships per-batch tables
             if window is None:
                 window = 2 * getattr(pool, "max_workers", 2)
-
             if mode == "shardref":
-                yield from self._iter_profile_shardref(
-                    source, feature, machine, noise, pool, config, window
+                units, job_names, signatures = _shard_ref_units(
+                    source, getattr(pool, "max_workers", 1), config.chunk_size
                 )
-                return
-
-            worker_profiler = copy.copy(self)
-            worker_profiler.database = None
-            task = _CollectBatchTask(
-                profiler=worker_profiler, machine=machine
+            else:
+                units, job_names, signatures = _table_units(source)
+            task = self._task(machine, job_names, signatures, source.shape)
+            yield from self._dispatch_units(
+                units, task, pool, window, feature, noise
             )
-            pending: list[ScenarioDataset] = []
-
-            def drain():
-                nonlocal start_row
-                begin = time.perf_counter()
-                cleans = pool.map(
-                    task, list(pending), chunk_size=1, stage="profile"
-                )
-                record_stage_cost(
-                    "profile",
-                    time.perf_counter() - begin,
-                    sum(len(batch) for batch in pending),
-                )
-                for batch, clean in zip(pending, cleans):
-                    if isinstance(clean, TaskFailure):
-                        raise RuntimeError(
-                            f"profiling lost the batch at row {start_row} "
-                            f"({clean.error}); a partial metric matrix "
-                            "would skew every downstream stage — rerun "
-                            "with a non-skipping failure policy"
-                        )
-                    with span(
-                        "profiler.profile_batch",
-                        n_scenarios=len(batch),
-                        start_row=start_row,
-                        feature=feature.name,
-                    ):
-                        matrix, _ = self._finish_batch(batch, clean, noise)
-                    inc("scenarios_profiled", len(batch))
-                    yield ProfiledBatch(
-                        start_row=start_row, dataset=batch, matrix=matrix
-                    )
-                    start_row += len(batch)
-                pending.clear()
-
-            for batch in source.iter_batches():
-                pending.append(batch)
-                if len(pending) >= window:
-                    yield from drain()
-            if pending:
-                yield from drain()
         finally:
             if resolved is not runtime:
                 resolved.close()
 
-    def _iter_profile_shardref(
-        self, source, feature, machine, noise, pool, config, window
-    ):
-        """Zero-copy streaming dispatch over a shard-backed source.
-
-        Refs are iterated in global row order (the noise stream
-        requires it) and dispatched *window* refs at a time with one
-        ref per chunk; refs are cost-sized, so several may cover one
-        shard.  Worker matrices are reassembled into *shard-aligned*
-        batches before yielding — consumers accumulate per batch, so
-        batch boundaries must match the serial path's (one batch per
-        shard) for the whole fit to stay bit-identical.  Workers
-        return only metric matrices; the yielded batch's scenarios
-        decode lazily from the parent's own shard mapping, and only
-        when a consumer actually touches them (or eagerly when
-        persistence needs them).
-        """
-        import copy
-        import dataclasses
-        import time
-
-        from ..obs import inc, span
-        from ..runtime.config import cost_aware_block, record_stage_cost
-        from ..runtime.resilience import TaskFailure
-
-        workers = getattr(pool, "max_workers", 1)
-        if isinstance(config.chunk_size, int):
-            rows_per_ref = config.chunk_size
-        else:
-            rows_per_ref = cost_aware_block(len(source), workers, "profile")
-        refs = source.shard_refs(rows_per_ref=rows_per_ref)
+    def _task(self, machine, job_names, signatures, shape) -> "_CollectTask":
+        """The worker task; its profiler copy drops the database handle
+        (not picklable, and persistence stays in the parent)."""
         worker_profiler = copy.copy(self)
         worker_profiler.database = None
-        task = _CollectShardRefTask(
+        return _CollectTask(
             profiler=worker_profiler,
             machine=machine,
-            job_names=tuple(source.job_names),
-            signatures=dict(source.signatures),
-            shape=source.shape,
+            job_names=tuple(job_names),
+            signatures=dict(signatures),
+            shape=shape,
         )
+
+    def _dispatch_units(self, units, task, pool, window, feature, noise):
+        """Run streaming *units* on *pool*, yielding shard-aligned batches.
+
+        Units arrive in global row order (the noise stream requires it)
+        and are dispatched *window* at a time, one unit per chunk.  A
+        shard may be split into several cost-sized units; their
+        matrices are reassembled into one batch per shard before
+        yielding — consumers accumulate per batch, so batch boundaries
+        must match the serial path's for the whole fit to stay
+        bit-identical.  Workers return only metric matrices; a batch's
+        scenarios decode lazily in the parent, when a consumer (or
+        persistence) touches them.
+        """
+        from ..obs import inc, span
+        from ..runtime.config import record_stage_cost
+        from ..runtime.resilience import TaskFailure
+
         start_row = 0
-        shard_cleans: list[np.ndarray] = []
-        shard_ref = None  # first ref of the shard being assembled
-
-        def flush_shard():
-            nonlocal start_row, shard_cleans, shard_ref
-            clean = (
-                np.concatenate(shard_cleans, axis=0)
-                if len(shard_cleans) > 1
-                else shard_cleans[0]
-            )
-            whole = dataclasses.replace(
-                shard_ref,
-                row_start=0,
-                row_stop=shard_ref.shard_rows,
-                global_row=shard_ref.global_row - shard_ref.row_start,
-            )
-            with span(
-                "profiler.profile_batch",
-                n_scenarios=clean.shape[0],
-                start_row=start_row,
-                feature=feature.name,
-            ):
-                matrix, dataset_value = self._finish_batch(
-                    lambda t=task, r=whole: _decode_ref(t, r), clean, noise
-                )
-            inc("scenarios_profiled", clean.shape[0])
-            yield ProfiledBatch(
-                start_row=start_row, dataset=dataset_value, matrix=matrix
-            )
-            start_row += clean.shape[0]
-            shard_cleans = []
-            shard_ref = None
-
-        for group_start in range(0, len(refs), window):
-            group = refs[group_start : group_start + window]
+        parts: list[np.ndarray] = []
+        units = iter(units)
+        while group := list(itertools.islice(units, window)):
             begin = time.perf_counter()
-            cleans = pool.map(task, group, chunk_size=1, stage="profile")
+            cleans = pool.map(
+                task, [unit.item for unit in group], chunk_size=1, stage="profile"
+            )
             record_stage_cost(
                 "profile",
                 time.perf_counter() - begin,
-                sum(ref.rows for ref in group),
+                sum(unit.rows for unit in group),
             )
-            for ref, clean in zip(group, cleans):
+            for unit, clean in zip(group, cleans):
                 if isinstance(clean, TaskFailure):
                     raise RuntimeError(
-                        "profiling lost the shard ref at global row "
-                        f"{ref.global_row} ({clean.error}); a partial "
-                        "metric matrix would skew every downstream stage "
-                        "— rerun with a non-skipping failure policy"
+                        f"profiling lost rows of the batch at row {start_row} "
+                        f"({clean.error}); a partial metric matrix would "
+                        "skew every downstream stage — rerun with a "
+                        "non-skipping failure policy"
                     )
-                if (
-                    shard_ref is not None
-                    and ref.shard_index != shard_ref.shard_index
+                parts.append(clean)
+                if not unit.last:
+                    continue
+                clean = np.concatenate(parts) if len(parts) > 1 else parts[0]
+                parts = []
+                with span(
+                    "profiler.profile_batch",
+                    n_scenarios=clean.shape[0],
+                    start_row=start_row,
+                    feature=feature.name,
                 ):
-                    yield from flush_shard()
-                if shard_ref is None:
-                    shard_ref = ref
-                shard_cleans.append(clean)
-        if shard_cleans:
-            yield from flush_shard()
+                    matrix, dataset = self._finish_batch(
+                        unit.dataset, clean, noise
+                    )
+                inc("scenarios_profiled", clean.shape[0])
+                yield ProfiledBatch(
+                    start_row=start_row, dataset=dataset, matrix=matrix
+                )
+                start_row += clean.shape[0]
 
     def _finish_batch(self, batch, clean: np.ndarray, noise: MeasurementNoise):
         """Apply noise in row order and persist: the parent-only steps.
@@ -657,115 +574,65 @@ class Profiler:
         machine: MachinePerf,
         resolved,
     ) -> np.ndarray:
-        """Fan collection out over a resolved runtime.
+        """Fan an in-memory dataset's collection out over a runtime.
 
-        The dispatch mode decides what crosses the process boundary.
-        Under ``shm`` the dataset is columnarised once in the parent
-        (the store codec's tables), published through shared memory,
-        and workers receive bare ``(start, stop)`` row ranges — the
-        batched analogue of the historical range layout with the
-        per-chunk scenario pickling removed.  ``pickle`` ships one
-        pickled row range per task, for the batched solver and the
-        scalar reference alike (``collect_many`` honours ``solver=``).
-        Either way the row blocking is identical, so results are
-        bit-identical across modes.
+        The dataset is columnarised once in the parent (the store
+        codec's tables) and cut into row ranges.  The dispatch mode
+        decides only where a range's rows live: under ``shm`` the
+        tables are published through shared memory and each item is a
+        ``(SharedTableRef, start, stop)`` range; under ``pickle`` each
+        item carries its own rows.  The row blocking is identical
+        either way, so results are bit-identical across modes.
 
-        The dispatched profiler copy drops the database handle (it is
-        not picklable and persistence must stay in the parent anyway);
-        a row range degraded to a ``TaskFailure`` by ``retry_then_skip``
+        A row range degraded to a ``TaskFailure`` by ``retry_then_skip``
         is a hard error here — a profiled matrix with missing rows
         would silently skew everything downstream.
         """
-        import copy
-        import time
-
         from ..runtime.config import cost_aware_block, record_stage_cost
-        from ..runtime.dispatch import choose_dispatch
+        from ..runtime.dispatch import SharedTables, choose_dispatch
         from ..runtime.executor import ProcessExecutor
 
         pool = resolved.executor
         config = resolved.config
-        batched = resolve_solver_mode(self.solver, len(dataset)) == "batched"
         mode = choose_dispatch(
             config.dispatch,
             store_backed=False,
             parallel=isinstance(pool, ProcessExecutor),
             journaled=getattr(pool, "checkpoint", None) is not None,
         )
-        if mode == "shm" and not batched:
-            mode = "pickle"  # the scalar reference keeps pickled scenarios
-        signatures = None
-        if mode == "shm":
-            signatures = _signature_catalogue(dataset)
-            if signatures is None:
-                # Conflicting signatures under one job name cannot be
-                # interned into the columnar tables; ship scenarios.
-                mode = "pickle"
-
+        signatures = dataset.signatures
+        scenario_table, instance_table = _encode(dataset.scenarios, signatures)
         workers = getattr(pool, "max_workers", 1)
         if isinstance(config.chunk_size, int):
             block = config.chunk_size
         else:
             block = cost_aware_block(len(dataset), workers, "profile")
-        worker_profiler = copy.copy(self)
-        worker_profiler.database = None
         ranges = [
             (start, min(start + block, len(dataset)))
             for start in range(0, len(dataset), block)
         ]
-
-        if mode == "shm":
-            from ..runtime.dispatch import SharedTables
-            from ..store.format import encode_shard
-
-            job_index: dict[str, int] = {}
-            scenario_table, instance_table = encode_shard(
-                dataset.scenarios, job_index
-            )
-            job_names = tuple(sorted(job_index, key=job_index.__getitem__))
-            tables = SharedTables(scenario_table, instance_table)
-            shared_task = _CollectSharedTask(
-                profiler=worker_profiler,
-                machine=machine,
-                tables=tables.ref,
-                job_names=job_names,
-                signatures=signatures,
-                shape=dataset.shape,
-            )
-            begin = time.perf_counter()
-            try:
-                blocks = pool.map(
-                    shared_task, ranges, chunk_size=1, stage="profile"
-                )
-            finally:
-                tables.release()
-            record_stage_cost(
-                "profile", time.perf_counter() - begin, len(dataset)
-            )
-            return _reassemble_blocks(ranges, blocks, len(self.specs))
-
-        range_task = _CollectRangeTask(
-            profiler=worker_profiler, dataset=dataset, machine=machine
+        task = self._task(
+            machine, tuple(signatures), signatures, dataset.shape
         )
+        shared = None
+        if mode == "shm":
+            shared = SharedTables(scenario_table, instance_table)
+            items = [(shared.ref, start, stop) for start, stop in ranges]
+        else:
+            items = [
+                _own_rows(scenario_table[start:stop], instance_table)
+                for start, stop in ranges
+            ]
         begin = time.perf_counter()
-        blocks = pool.map(range_task, ranges, chunk_size=1, stage="profile")
+        try:
+            blocks = pool.map(task, items, chunk_size=1, stage="profile")
+        finally:
+            if shared is not None:
+                shared.release()
         record_stage_cost(
             "profile", time.perf_counter() - begin, len(dataset)
         )
         return _reassemble_blocks(ranges, blocks, len(self.specs))
-
-    def collect(
-        self,
-        scenario: Scenario,
-        dataset: ScenarioDataset,
-        machine: MachinePerf,
-    ) -> np.ndarray:
-        """Noise-free metric vector for one scenario (registry order)."""
-        batch = ScenarioBatch.from_instances([scenario.instances])
-        lanes = LaneSolution.from_performances(
-            machine, [solve_colocation(machine, list(scenario.instances))]
-        )
-        return self._metrics(batch, lanes, dataset.shape, [scenario])[0]
 
     def collect_many(
         self,
@@ -777,10 +644,9 @@ class Profiler:
     ) -> np.ndarray:
         """Noise-free ``(len(scenarios), n_metrics)`` matrix, batch-solved.
 
-        Bit-identical to calling :meth:`collect` per scenario; the
-        contention fixed point runs through the solver path selected by
-        ``self.solver`` and large populations are processed in blocks
-        of *block_rows* so the batch working set stays bounded.
+        Bit-identical to solving and deriving each scenario alone; large
+        populations are processed in blocks of *block_rows* so the batch
+        working set stays bounded.
         """
         clean = np.empty((len(scenarios), len(self.specs)))
         for start in range(0, len(scenarios), block_rows):
@@ -805,9 +671,10 @@ class Profiler:
     ) -> np.ndarray:
         """Noise-free metric matrix for a columnar scenario-table slice.
 
-        The entry point of every store-backed profile: the tables arrive
-        memory-mapped (the serial store path, shard refs) or
-        shared-memory backed, the solver's batch is packed straight from
+        The entry point of every store-backed and every fanned-out
+        profile: the tables arrive memory-mapped (the serial store path,
+        shard refs), shared-memory backed or pickled with the task item
+        (:class:`_CollectTask`), the solver's batch is packed straight from
         them via :meth:`ScenarioBatch.from_tables`, and the metric
         kernel reads the solver's lane arrays — no scenario is decoded
         (only the opt-in temporal metrics decode their block).  The
@@ -838,22 +705,19 @@ class Profiler:
     def _solve(
         self, machine: MachinePerf, batch: ScenarioBatch, instances=None
     ) -> LaneSolution:
-        """Solve *batch* through the configured solver path and memo.
+        """Solve *batch*, through the solve memo when one is set.
 
-        The batched solver reads the batch's arrays directly; the scalar
-        reference and the memo take instance objects (*instances*, or
-        rebuilt from the batch) and their solutions are packed into the
-        same lane arrays — bit-identical either way.
+        Without a memo, a multi-row batch goes to the batched solver,
+        which reads the batch's arrays directly.  Otherwise
+        :func:`solve_colocation_many` takes instance objects
+        (*instances*, or rebuilt from the batch) and its solutions are
+        packed into the same lane arrays — bit-identical either way.
         """
-        if (
-            self.memo is None
-            and resolve_solver_mode(self.solver, len(batch)) == "batched"
-        ):
+        if self.memo is None and len(batch) > 1:
             return solve_colocation_batch(machine, batch)
         solutions = solve_colocation_many(
             machine,
             batch.instances() if instances is None else instances,
-            solver=self.solver,
             memo=self.memo,
         )
         return LaneSolution.from_performances(machine, solutions)
@@ -941,7 +805,7 @@ class Profiler:
             for row in loads
         ]
         solutions = solve_colocation_many(
-            machine, jittered_samples, solver=self.solver, memo=self.memo
+            machine, jittered_samples, memo=self.memo
         )
 
         # One extraction pass over the solved samples.
@@ -1076,35 +940,16 @@ class Profiler:
 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _CollectRangeTask:
-    """Picklable row-range profiling task for executor fan-out.
+class _CollectTask:
+    """Picklable profiling task: one columnar row range per item.
 
-    The item is a ``(start, stop)`` row range; the worker solves the
-    block through the profiler's solver path (one contention batch, or
-    scenario by scenario under ``solver="scalar"``) and returns its
-    metric matrix.
-    """
-
-    profiler: "Profiler"
-    dataset: ScenarioDataset
-    machine: MachinePerf
-
-    def __call__(self, row_range: tuple[int, int]) -> np.ndarray:
-        start, stop = row_range
-        return self.profiler.collect_many(
-            self.dataset.scenarios[start:stop], self.dataset, self.machine
-        )
-
-
-@dataclass(frozen=True)
-class _CollectShardRefTask:
-    """Picklable shard-ref profiling task: the worker reads the store.
-
-    The item is a :class:`~repro.runtime.ShardRef`; the worker
-    memory-maps (and caches) the referenced shard, slices its row
-    range, and profiles it through :meth:`Profiler.collect_tables`.
-    Refs are pure content, so checkpoint-journal keys and injected
-    fault fates survive re-runs unchanged.
+    Every transport ships the same work — open a row range of the
+    columnar scenario tables and profile it through
+    :meth:`Profiler.collect_tables` — and differs only in where the
+    rows live (see :func:`_open_rows`).  Items are pure content, so
+    checkpoint-journal keys and injected fault fates survive re-runs;
+    shared-memory names are per run, which is why journaled runs
+    pickle.
     """
 
     profiler: "Profiler"
@@ -1113,12 +958,10 @@ class _CollectShardRefTask:
     signatures: dict
     shape: object
 
-    def __call__(self, ref) -> np.ndarray:
-        from ..runtime.dispatch import shard_tables
-
-        scenario_table, instance_table = shard_tables(ref)
+    def __call__(self, item) -> np.ndarray:
+        scenario_rows, instance_table = _open_rows(item)
         return self.profiler.collect_tables(
-            scenario_table[ref.row_start : ref.row_stop],
+            scenario_rows,
             instance_table,
             job_names=self.job_names,
             signatures=self.signatures,
@@ -1127,65 +970,150 @@ class _CollectShardRefTask:
         )
 
 
-@dataclass(frozen=True)
-class _CollectSharedTask:
-    """Picklable shared-memory profiling task for in-memory datasets.
+def _open_rows(item) -> tuple[np.ndarray, np.ndarray]:
+    """A task item's (scenario rows, instance table), wherever they live.
 
-    The dataset's columnar tables live in the parent's shared-memory
-    segments (``tables`` names them); the item is a bare
-    ``(start, stop)`` row range, so the per-chunk payload is a few
-    hundred bytes regardless of scenario count.
+    * a :class:`~repro.runtime.ShardRef` (``shardref``): the worker
+      memory-maps (and caches) the store shard itself;
+    * ``(SharedTableRef, start, stop)`` (``shm``): the rows sit in the
+      parent's shared-memory tables;
+    * ``(scenario_rows, instance_rows)`` (``pickle``): the item carries
+      its own rows (see :func:`_own_rows`).
     """
+    from ..runtime.dispatch import (
+        ShardRef,
+        SharedTableRef,
+        attach_shared_tables,
+        shard_tables,
+    )
 
-    profiler: "Profiler"
-    machine: MachinePerf
-    tables: object
-    job_names: tuple
-    signatures: dict
-    shape: object
+    if isinstance(item, ShardRef):
+        scenario_table, instance_table = shard_tables(item)
+        return scenario_table[item.row_start : item.row_stop], instance_table
+    if isinstance(item[0], SharedTableRef):
+        tables, start, stop = item
+        scenario_table, instance_table = attach_shared_tables(tables)
+        return scenario_table[start:stop], instance_table
+    return item
 
-    def __call__(self, row_range: tuple[int, int]) -> np.ndarray:
-        from ..runtime.dispatch import attach_shared_tables
 
-        start, stop = row_range
-        scenario_table, instance_table = attach_shared_tables(self.tables)
-        return self.profiler.collect_tables(
-            scenario_table[start:stop],
-            instance_table,
-            job_names=self.job_names,
-            signatures=self.signatures,
-            shape=self.shape,
-            machine=self.machine,
+class _Unit(NamedTuple):
+    """One streaming work item and the batch bookkeeping around it."""
+
+    item: Any
+    rows: int
+    #: Whether this unit closes its batch (one batch per shard).
+    last: bool
+    #: The batch's scenarios, or a callable decoding them.
+    dataset: Any
+
+
+def _shard_ref_units(source, workers: int, chunk_size):
+    """``shardref`` units of a store: cost-sized refs, several per shard.
+
+    Returns ``(units, job_names, signatures)``.
+    """
+    from functools import partial
+
+    from ..runtime.config import cost_aware_block
+
+    if isinstance(chunk_size, int):
+        rows_per_ref = chunk_size
+    else:
+        rows_per_ref = cost_aware_block(len(source), workers, "profile")
+    job_names = tuple(source.job_names)
+    signatures = dict(source.signatures)
+    units = (
+        _Unit(
+            item=ref,
+            rows=ref.rows,
+            last=ref.row_stop == ref.shard_rows,
+            dataset=partial(
+                _decode_shard, ref, job_names, signatures, source.shape
+            ),
         )
+        for ref in source.shard_refs(rows_per_ref=rows_per_ref)
+    )
+    return units, job_names, signatures
 
 
-def _decode_ref(task: _CollectShardRefTask, ref) -> ScenarioDataset:
-    """Decode one ref's scenarios from the parent's own shard mapping."""
+def _table_units(source):
+    """``pickle`` units of a streaming source: each batch's own rows.
+
+    Store-backed sources hand out per-shard tables (``iter_tables``),
+    whose rows are copied out without decoding a scenario; other
+    sources' in-memory batches are encoded in the parent.  Returns
+    ``(units, job_names, signatures)``.
+    """
+    iter_tables = getattr(source, "iter_tables", None)
+    if iter_tables is None:
+        signatures = dict(source.signatures)
+        units = (
+            _Unit(_encode(batch.scenarios, signatures), len(batch), True, batch)
+            for batch in source.iter_batches()
+        )
+        return units, tuple(signatures), signatures
+    tables = iter_tables()
+    first = next(tables, None)
+    if first is None:
+        return iter(()), (), {}
+    units = (
+        _Unit(
+            _own_rows(batch.scenario_table, batch.instance_table),
+            len(batch),
+            True,
+            batch.decode,
+        )
+        for batch in itertools.chain([first], tables)
+    )
+    return units, tuple(first.job_names), dict(first.signatures)
+
+
+def _decode_shard(ref, job_names, signatures, shape) -> ScenarioDataset:
+    """Decode *ref*'s whole shard from the parent's own shard mapping."""
     from ..runtime.dispatch import shard_tables
     from ..store.format import decode_shard
 
     scenario_table, instance_table = shard_tables(ref)
     return decode_shard(
-        scenario_table[ref.row_start : ref.row_stop],
-        instance_table,
-        list(task.job_names),
-        task.signatures,
-        task.shape,
+        scenario_table, instance_table, list(job_names), signatures, shape
     )
 
 
-def _signature_catalogue(dataset: ScenarioDataset) -> dict | None:
-    """Job-name → signature map, or ``None`` if any name is ambiguous."""
-    signatures: dict = {}
-    for scenario in dataset.scenarios:
+def _encode(scenarios, signatures: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar tables of in-memory *scenarios*, jobs in catalogue order.
+
+    The tables intern one signature per job name, so a name that maps
+    to two signatures is an error rather than a silent merge.
+    """
+    from ..store.format import encode_shard
+
+    for scenario in scenarios:
         for instance in scenario.instances:
-            name = instance.signature.name
-            existing = signatures.get(name)
-            if existing is None:
-                signatures[name] = instance.signature
-            elif existing != instance.signature:
-                return None
-    return signatures
+            known = signatures[instance.signature.name]
+            if known is not instance.signature and known != instance.signature:
+                raise ValueError(
+                    "conflicting signatures for job "
+                    f"{instance.signature.name!r}"
+                )
+    job_index = {name: index for index, name in enumerate(signatures)}
+    return encode_shard(scenarios, job_index)
+
+
+def _own_rows(
+    scenario_rows: np.ndarray, instance_table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh copies of *scenario_rows* and just the instance rows they
+    use, offsets rebased — a pickled item carries only its own rows."""
+    scenario_rows = np.array(scenario_rows)
+    if len(scenario_rows) == 0:
+        return scenario_rows, np.array(instance_table[:0])
+    first = int(scenario_rows["inst_offset"][0])
+    stop = int(scenario_rows["inst_offset"][-1]) + int(
+        scenario_rows["inst_count"][-1]
+    )
+    scenario_rows["inst_offset"] -= first
+    return scenario_rows, np.array(instance_table[first:stop])
 
 
 def _reassemble_blocks(ranges, blocks, n_metrics: int) -> np.ndarray:
@@ -1207,21 +1135,3 @@ def _reassemble_blocks(ranges, blocks, n_metrics: int) -> np.ndarray:
     if not blocks:
         return np.empty((0, n_metrics))
     return np.concatenate(blocks, axis=0)
-
-
-@dataclass(frozen=True)
-class _CollectBatchTask:
-    """Picklable per-batch profiling task for streaming fan-out.
-
-    The item *is* the batch dataset, so a checkpoint journal keys each
-    chunk by batch content — independent of how batches were grouped
-    into dispatch windows.  Each shard is solved as one contention
-    batch through the profiler's solver knob (``collect_many`` falls
-    back to per-scenario scalar solves when so configured).
-    """
-
-    profiler: "Profiler"
-    machine: MachinePerf
-
-    def __call__(self, batch: ScenarioDataset) -> np.ndarray:
-        return self.profiler.collect_many(batch.scenarios, batch, self.machine)

@@ -17,6 +17,7 @@ hand-built version-1 payload still loads through the re-fit.
 from __future__ import annotations
 
 import json
+import pathlib
 import shutil
 
 import numpy as np
@@ -262,3 +263,43 @@ class TestVersionOnePayload:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="does not reproduce"):
             load_model(path)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestRetiredSolverSetting:
+    """A committed v2 artefact from when ``FlareConfig`` had ``solver``.
+
+    ``golden/model_v2_solver_scalar.json`` embeds a 60-scenario dataset
+    and stores ``"solver": "scalar"`` in its config; its answers file
+    holds the estimates of the model that wrote it.  The retired key is
+    ignored on load and by :func:`verify_model`, while the stored
+    ``state_sha256`` still guards the file bytes.
+    """
+
+    path = GOLDEN / "model_v2_solver_scalar.json"
+
+    def test_loads_and_evaluates_as_written(self):
+        expected = json.loads(
+            (GOLDEN / "model_v2_solver_scalar_answers.json").read_text()
+        )
+        loaded = load_model(self.path)
+        assert "solver" not in config_to_dict(loaded.config)
+        assert answers(loaded) == expected
+
+    def test_verify_model_passes(self):
+        payload = json.loads(self.path.read_text())
+        assert payload["state"]["config"]["solver"] == "scalar"
+        verified = verify_model(self.path)
+        assert fitted_digest(verified) == payload["state"]["fitted_digest"]
+
+    def test_retired_key_is_still_covered_by_the_checksum(self, tmp_path):
+        payload = json.loads(self.path.read_text())
+        payload["state"]["config"]["solver"] = "batched"
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="integrity"):
+            load_model(path)
+        with pytest.raises(ValueError, match="integrity"):
+            verify_model(path)

@@ -29,9 +29,10 @@ from repro.perfmodel import (
     solve_colocation_batch,
     solve_colocation_many,
 )
-from repro.perfmodel.batch import resolve_solver_mode
 from repro.perfmodel.signatures import JobSignature, Priority
 from repro.workloads import HP_JOBS, LP_JOBS
+
+from .solver_oracle import solve_many_scalar
 
 CATALOGUE = {**HP_JOBS, **LP_JOBS}
 _ALL_JOBS = sorted(CATALOGUE)
@@ -301,32 +302,39 @@ class TestScenarioBatchLayout:
 
 
 class TestSolverModeDispatch:
-    def test_resolve_solver_mode(self):
-        assert resolve_solver_mode("scalar", 100) == "scalar"
-        assert resolve_solver_mode("batched", 1) == "batched"
-        assert resolve_solver_mode("auto", 1) == "scalar"
-        assert resolve_solver_mode("auto", 2) == "batched"
-        with pytest.raises(ValueError, match="unknown solver"):
-            resolve_solver_mode("vectorised", 2)
+    """``solve_colocation_many`` batches more than one scenario; the
+    per-scenario loop it replaced as an option is the oracle."""
+
+    def test_size_rule_picks_the_solver(self):
+        machine = MachinePerf()
+        one = [build([("DA", 1.0), ("mcf", 0.9)])]
+        two = one + [build([("WSC", 0.7)])]
+        single = solve_colocation_many(machine, one)
+        assert isinstance(single, list)
+        assert_solutions_identical(solve_many_scalar(machine, one)[0], single[0])
+        assert isinstance(solve_colocation_many(machine, two), LaneSolution)
+        assert list(solve_colocation_many(machine, [])) == []
 
     def test_many_agrees_across_modes(self):
         machine = MachinePerf()
         population = [build([("DA", 1.0), ("mcf", 0.9)]), build([("WSC", 0.7)])]
-        scalar = solve_colocation_many(machine, population, solver="scalar")
-        batched = solve_colocation_many(machine, population, solver="batched")
-        auto = solve_colocation_many(machine, population, solver="auto")
-        for s, b, a in zip(scalar, batched, auto):
+        scalar = solve_many_scalar(machine, population)
+        batched = solve_colocation_batch(machine, population)
+        many = solve_colocation_many(machine, population)
+        for s, b, m in zip(scalar, batched, many):
             assert_solutions_identical(s, b)
-            assert_solutions_identical(s, a)
+            assert_solutions_identical(s, m)
 
     def test_many_rejects_unknown_solver(self):
-        with pytest.raises(ValueError, match="unknown solver"):
+        # The solver choice is fixed in code; no keyword selects one.
+        with pytest.raises(TypeError, match="solver"):
             solve_colocation_many(MachinePerf(), [build([("DA", 1.0)])],
-                                  solver="fast")
+                                  solver="scalar")
 
 
 class TestEndToEndEquivalence:
-    """The routed callers agree across solver modes and executors."""
+    """The routed callers reproduce the per-scenario oracle, serially
+    and under a process pool."""
 
     def _feature(self):
         return PAPER_FEATURES[0]
@@ -334,21 +342,20 @@ class TestEndToEndEquivalence:
     def test_profiler_matrix_identical_across_solvers(self, tiny_dataset):
         from repro.telemetry import Profiler
 
-        matrices = {}
-        for solver in ("scalar", "batched"):
-            profiled = Profiler(seed=11, solver=solver).profile(tiny_dataset)
-            matrices[solver] = profiled.matrix
-        assert (matrices["scalar"] == matrices["batched"]).all()
+        from ..telemetry.metric_oracle import oracle_matrix
+
+        profiler = Profiler(noise_sigma=0.0)
+        scalar = oracle_matrix(profiler, tiny_dataset, tiny_dataset.shape.perf)
+        batched = profiler.profile(tiny_dataset).matrix
+        assert (scalar == batched).all()
 
     def test_profiler_process_executor_identical(self, tiny_dataset):
         from repro.runtime import ProcessExecutor
         from repro.telemetry import Profiler
 
-        serial = Profiler(seed=11, solver="batched").profile(tiny_dataset)
+        serial = Profiler(seed=11).profile(tiny_dataset)
         with ProcessExecutor(max_workers=2) as pool:
-            parallel = Profiler(seed=11, solver="batched").profile(
-                tiny_dataset, runtime=pool
-            )
+            parallel = Profiler(seed=11).profile(tiny_dataset, runtime=pool)
         assert (serial.matrix == parallel.matrix).all()
 
     def test_replayer_identical_across_solvers_and_executors(
@@ -359,12 +366,11 @@ class TestEndToEndEquivalence:
 
         feature = self._feature()
         scenarios = tiny_dataset.scenarios
-        results = {}
-        for solver in ("scalar", "batched"):
-            replayer = Replayer(tiny_dataset.shape, solver=solver)
-            results[solver] = replayer.replay_many(scenarios, feature)
+        replayer = Replayer(tiny_dataset.shape)
+        # One scalar replay per scenario is the oracle.
+        results = {"scalar": [replayer.replay(s, feature) for s in scenarios]}
+        results["batched"] = replayer.replay_many(scenarios, feature)
         with ProcessExecutor(max_workers=2) as pool:
-            replayer = Replayer(tiny_dataset.shape, solver="batched")
             results["process"] = replayer.replay_many(
                 scenarios, feature, executor=pool
             )
@@ -376,16 +382,20 @@ class TestEndToEndEquivalence:
                 assert got.enabled.overall == ref.enabled.overall
                 assert got.baseline.per_job == ref.baseline.per_job
 
-    def test_full_datacenter_truth_identical(self, tiny_dataset):
+    def test_full_datacenter_truth_identical(self, tiny_dataset, monkeypatch):
+        import repro.core.performance as performance
         from repro.baselines import evaluate_full_datacenter
 
         feature = self._feature()
-        scalar = evaluate_full_datacenter(
-            tiny_dataset, feature, solver="scalar"
+        batched = evaluate_full_datacenter(tiny_dataset, feature)
+        monkeypatch.setattr(
+            performance,
+            "solve_colocation_many",
+            lambda machine, scenarios, **_: solve_many_scalar(
+                machine, scenarios
+            ),
         )
-        batched = evaluate_full_datacenter(
-            tiny_dataset, feature, solver="batched"
-        )
+        scalar = evaluate_full_datacenter(tiny_dataset, feature)
         assert scalar.overall_reduction_pct == batched.overall_reduction_pct
         assert scalar.per_job == batched.per_job
         assert (scalar.reductions_pct == batched.reductions_pct).all()

@@ -6,7 +6,7 @@ solve.  These tests pin that down from every direction:
 * **differential equivalence** (hypothesis): memo-on and memo-off runs
   of ``solve_colocation_many`` agree on every published float *exactly*
   (``==``, not approx), for random machines and scenario populations,
-  through both the scalar and batched solver paths;
+  and both equal the per-scenario scalar oracle;
 * **cold == warm == cross-run**: a store-backed memo returns the same
   bits whether the entry was just solved, is served from the in-process
   LRU, or is read back by a fresh process-equivalent instance from the
@@ -44,6 +44,8 @@ from repro.perfmodel.memo import (
     validate_memo_spec,
 )
 from repro.workloads import HP_JOBS, LP_JOBS
+
+from .solver_oracle import solve_many_scalar
 
 _CATALOGUE = {**HP_JOBS, **LP_JOBS}
 _ALL_JOBS = sorted(_CATALOGUE)
@@ -123,34 +125,18 @@ def _clean_registry():
 # ----------------------------------------------------------------------
 # Differential equivalence: memo on == memo off, exactly
 @settings(max_examples=40, deadline=None)
-@given(machines, populations, st.sampled_from(["scalar", "batched"]))
-def test_memo_on_equals_memo_off_exactly(machine, pop, solver):
+@given(machines, populations)
+def test_memo_on_equals_memo_off_exactly(machine, pop):
     population = build(pop)
-    plain = solve_colocation_many(machine, population, solver=solver)
+    scalar = solve_many_scalar(machine, population)
+    plain = solve_colocation_many(machine, population)
     memo = SolveMemo("memory")
-    cold = solve_colocation_many(
-        machine, population, solver=solver, memo=memo
-    )
-    warm = solve_colocation_many(
-        machine, population, solver=solver, memo=memo
-    )
-    for index, reference in enumerate(plain):
+    cold = solve_colocation_many(machine, population, memo=memo)
+    warm = solve_colocation_many(machine, population, memo=memo)
+    for index, reference in enumerate(scalar):
+        assert_bit_identical(reference, plain[index], f"plain[{index}]")
         assert_bit_identical(reference, cold[index], f"cold[{index}]")
         assert_bit_identical(reference, warm[index], f"warm[{index}]")
-
-
-@settings(max_examples=25, deadline=None)
-@given(machines, populations)
-def test_memoised_scalar_equals_memoised_batched(machine, pop):
-    population = build(pop)
-    scalar = solve_colocation_many(
-        machine, population, solver="scalar", memo=SolveMemo("memory")
-    )
-    batched = solve_colocation_many(
-        machine, population, solver="batched", memo=SolveMemo("memory")
-    )
-    for index, reference in enumerate(scalar):
-        assert_bit_identical(reference, batched[index], f"[{index}]")
 
 
 def _population():

@@ -174,17 +174,13 @@ def test_batched_many_partitions_hits_and_misses():
         list(_instances(("WSV", 0.6))),
         list(_instances(("DA", 1.0), ("mcf", 0.8))),  # in-batch duplicate
     ]
-    first = solve_colocation_many(
-        machine, scenarios, solver="batched", cached=True
-    )
+    first = solve_colocation_many(machine, scenarios, cached=True)
     info = solve_colocation_cached.cache_info()
     # Three lookups: all miss, but the duplicate dedups to 2 solves.
     assert info.misses == 3
     assert info.currsize == 2
     assert first[0] is first[2]
-    second = solve_colocation_many(
-        machine, scenarios, solver="batched", cached=True
-    )
+    second = solve_colocation_many(machine, scenarios, cached=True)
     info = solve_colocation_cached.cache_info()
     assert info.hits == 3
     for a, b in zip(first, second):
@@ -194,9 +190,12 @@ def test_batched_many_partitions_hits_and_misses():
 def test_scalar_and_batched_callers_share_one_cache():
     machine = MachinePerf()
     instances = _instances(("IA", 1.0), ("omnetpp", 1.0))
+    other = _instances(("WSV", 0.6))
     scalar = solve_colocation_cached(machine, instances)
-    [batched] = solve_colocation_many(
-        machine, [list(instances)], solver="batched", cached=True
+    # Two scenarios take the batched solver: one hit, one batched miss.
+    batched = solve_colocation_many(
+        machine, [list(instances), list(other)], cached=True
     )
-    assert batched is scalar
+    assert batched[0] is scalar
     assert solve_colocation_cached.cache_info().hits == 1
+    assert solve_colocation_cached(machine, other) is batched[1]

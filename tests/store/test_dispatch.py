@@ -36,8 +36,20 @@ def _fast_retry(max_retries: int = 3) -> RetryPolicy:
     )
 
 
+def _journaled_profile(source, tmp_path) -> np.ndarray:
+    """Profile under a journaled 2-worker pool (auto dispatch: pickle
+    for in-memory sources, shardref for stores)."""
+    from repro.runtime.cache import CheckpointJournal
+
+    journal = CheckpointJournal(tmp_path / "journal", "profile")
+    with ProcessExecutor(max_workers=2, checkpoint=journal) as pool:
+        matrix = Profiler().profile(source, runtime=pool).matrix
+    assert len(journal) > 0
+    return matrix
+
+
 class TestDispatchEquivalence:
-    def test_store_transports_bit_identical(self, shared_store):
+    def test_store_transports_bit_identical(self, shared_store, tmp_path):
         serial = Profiler().profile(shared_store).matrix
 
         with SerialExecutor() as pool:  # serial executor: pickle chunks
@@ -48,12 +60,20 @@ class TestDispatchEquivalence:
             shared_store,
             runtime=RuntimeConfig(executor="process:2", dispatch="shardref"),
         ).matrix
+        parallel_pickled = Profiler().profile(
+            shared_store,
+            runtime=RuntimeConfig(executor="process:2", dispatch="pickle"),
+        ).matrix
 
         np.testing.assert_array_equal(serial, pickled)
         np.testing.assert_array_equal(serial, auto)
         np.testing.assert_array_equal(serial, explicit)
+        np.testing.assert_array_equal(serial, parallel_pickled)
+        np.testing.assert_array_equal(
+            serial, _journaled_profile(shared_store, tmp_path)
+        )
 
-    def test_in_memory_transports_bit_identical(self, store_dataset):
+    def test_in_memory_transports_bit_identical(self, store_dataset, tmp_path):
         inline = Profiler().profile(store_dataset).matrix
         shm = Profiler().profile(
             store_dataset,
@@ -66,6 +86,36 @@ class TestDispatchEquivalence:
 
         np.testing.assert_array_equal(inline, shm)
         np.testing.assert_array_equal(inline, pickled)
+        np.testing.assert_array_equal(
+            inline, _journaled_profile(store_dataset, tmp_path)
+        )
+
+    @pytest.mark.parametrize("dispatch", ["pickle", "shm"])
+    def test_conflicting_signatures_are_rejected(self, dispatch):
+        import dataclasses
+
+        from repro.cluster.machine import DEFAULT_SHAPE
+        from repro.cluster.scenario import Scenario, ScenarioDataset
+        from repro.perfmodel import RunningInstance
+        from repro.workloads import get_job
+
+        job = get_job("DA")
+        twin = dataclasses.replace(job, base_cpi=job.base_cpi * 1.5)
+        scenarios = tuple(
+            Scenario(
+                scenario_id=i,
+                key=(("DA", 1),),
+                instances=(RunningInstance(signature=signature, load=0.8),),
+                n_occurrences=1,
+                total_duration_s=60.0,
+            )
+            for i, signature in enumerate((job, twin))
+        )
+        dataset = ScenarioDataset(shape=DEFAULT_SHAPE, scenarios=scenarios)
+        runtime = RuntimeConfig(executor="process:2", dispatch=dispatch)
+        with pytest.raises(ValueError, match="conflicting signatures for job"):
+            Profiler().profile(dataset, runtime=runtime)
+        assert active_shared_segments() == ()
 
     def test_chunk_size_does_not_change_results(self, shared_store):
         serial = Profiler().profile(shared_store).matrix

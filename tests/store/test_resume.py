@@ -35,13 +35,13 @@ class TestKillDuringStreamingProfile:
 
             kill_at = int(sys.argv[1])
             calls = [0]
-            original = profiler_mod._CollectBatchTask.__call__
-            def counting(self, batch):
+            original = profiler_mod._CollectTask.__call__
+            def counting(self, item):
                 calls[0] += 1
                 if 0 <= kill_at < calls[0]:
                     os._exit(9)
-                return original(self, batch)
-            profiler_mod._CollectBatchTask.__call__ = counting
+                return original(self, item)
+            profiler_mod._CollectTask.__call__ = counting
 
             store = open_store({str(store_path)!r})
             journal = CheckpointJournal({str(journal_root)!r}, "profile")

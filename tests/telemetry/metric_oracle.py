@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perfmodel.batch import solve_colocation_many
 from repro.perfmodel.contention import RunningInstance
 from repro.telemetry.metrics import (
     PER_LEVEL_METRICS,
@@ -21,6 +20,8 @@ from repro.telemetry.metrics import (
     MetricLevel,
     temporal_metric_name,
 )
+
+from ..perfmodel.solver_oracle import solve_many_scalar
 
 
 def vector_from_solution(profiler, scenario, dataset, machine, solution):
@@ -218,9 +219,7 @@ def temporal_metrics_scalar(profiler, scenario, machine, base_values):
                 RunningInstance(signature=inst.signature, load=load)
             )
         jittered_samples.append(jittered)
-    solutions = solve_colocation_many(
-        machine, jittered_samples, solver=profiler.solver, memo=profiler.memo
-    )
+    solutions = solve_many_scalar(machine, jittered_samples)
     for jittered, solution in zip(jittered_samples, solutions):
         pairs = list(zip(jittered, solution.instances))
         for level, selector in (

@@ -3,10 +3,12 @@
 :func:`repro.telemetry.kernel.derive_metrics` promises the matrix the
 per-scenario derivation in ``metric_oracle.py`` computes, bit for bit.
 Every profile path feeds the kernel differently — object-packed batches
-(in-memory), shard tables (serial store, ``StoreSlice``, worker shard
-refs), object solutions packed into lanes (scalar solver, solve memo) —
-so each path is checked against the oracle here, on the hypothesis
-populations of ``tests/perfmodel/test_batch_equivalence.py``.
+(in-memory), shard tables (serial store, ``StoreSlice``, worker row
+ranges of every transport), object solutions packed into lanes
+(one-row batches, solve memo) — so each path is checked against the
+oracle here, on the hypothesis populations of
+``tests/perfmodel/test_batch_equivalence.py``.  The oracle solves one
+scenario at a time with the scalar solver.
 """
 
 from __future__ import annotations
@@ -175,13 +177,17 @@ class TestProfilePaths:
     @settings(max_examples=15, deadline=None)
     @given(populations, features)
     def test_scalar_solver_and_memo(self, population, feature):
+        # One-row blocks take the scalar solver; the memo packs objects.
         dataset = as_dataset(population)
-        expected = oracle(Profiler(noise_sigma=0.0), dataset, feature)
-        for profiler in (
-            Profiler(noise_sigma=0.0, solver="scalar"),
-            Profiler(noise_sigma=0.0, memo="memory"),
-        ):
-            assert_bitwise(profiler.profile(dataset, feature).matrix, expected)
+        profiler = Profiler(noise_sigma=0.0)
+        expected = oracle(profiler, dataset, feature)
+        machine = feature(dataset.shape.perf)
+        one_row_blocks = profiler.collect_many(
+            dataset.scenarios, dataset, machine, block_rows=1
+        )
+        assert_bitwise(one_row_blocks, expected)
+        memoised = Profiler(noise_sigma=0.0, memo="memory")
+        assert_bitwise(memoised.profile(dataset, feature).matrix, expected)
 
     def test_memo_and_scalar_from_store_tables(self, tmp_path):
         dataset = as_dataset(
@@ -189,11 +195,12 @@ class TestProfilePaths:
         )
         store = write_store(dataset, tmp_path / "s", shard_size=2)
         expected = oracle(Profiler(noise_sigma=0.0), dataset)
-        for profiler in (
-            Profiler(noise_sigma=0.0, solver="scalar"),
-            Profiler(noise_sigma=0.0, memo="memory"),
-        ):
-            assert_bitwise(profiler.profile(store).matrix, expected)
+        profiler = Profiler(noise_sigma=0.0, memo="memory")
+        assert_bitwise(profiler.profile(store).matrix, expected)
+        # A one-row shard's table batch takes the scalar solver.
+        single = write_store(dataset, tmp_path / "one", shard_size=1)
+        plain = Profiler(noise_sigma=0.0)
+        assert_bitwise(plain.profile(single).matrix, expected)
 
     @pytest.fixture(scope="class")
     def pool(self):
@@ -217,21 +224,31 @@ class TestProfilePaths:
         check()
 
     def test_scalar_solver_row_ranges_under_process_pool(self, pool):
-        # The scalar reference fans out as pickled row ranges too.
+        # In-memory row ranges, shared or pickled, match the scalar
+        # oracle; chunk_size=1 gives one-row ranges (scalar solves).
         from repro.runtime import RuntimeConfig
 
         dataset = as_dataset(
             [[("DA", 1.0), ("mcf", 0.6)], [("WSC", 0.8)], [], [("GA", 0.4)] * 3]
             * 2
         )
-        profiler = Profiler(
-            noise_sigma=0.0, per_job_metrics=PER_JOB, solver="scalar"
-        )
-        runtime = RuntimeConfig(executor=pool, chunk_size=3)
-        assert_bitwise(
-            profiler.profile(dataset, runtime=runtime).matrix,
-            oracle(profiler, dataset),
-        )
+        profiler = Profiler(noise_sigma=0.0, per_job_metrics=PER_JOB)
+        expected = oracle(profiler, dataset)
+        for dispatch in ("shm", "pickle"):
+            for chunk_size in (1, 3):
+                runtime = RuntimeConfig(
+                    executor=pool, dispatch=dispatch, chunk_size=chunk_size
+                )
+                assert_bitwise(
+                    profiler.profile(dataset, runtime=runtime).matrix,
+                    expected,
+                )
+
+    def test_one_collect_task(self):
+        import repro.telemetry.profiler as profiler_module
+
+        tasks = [name for name in vars(profiler_module) if "Collect" in name]
+        assert tasks == ["_CollectTask"]
 
     def test_temporal_columns_on_every_backing(self, tmp_path):
         dataset = as_dataset(
@@ -272,3 +289,31 @@ class TestProfilePaths:
         monkeypatch.undo()
         ids = [s.scenario_id for b in batches for s in b.dataset.scenarios]
         assert ids == [1, 2, 3, 4, 5, 6]
+
+    def test_pickled_store_profile_decodes_no_scenario(
+        self, tmp_path, monkeypatch, pool
+    ):
+        # Pickled items are the shard tables' own rows, not scenarios.
+        import repro.store.format as store_format
+        from repro.runtime import RuntimeConfig, SerialExecutor
+
+        dataset = as_dataset([[("DA", 1.0)], [("mcf", 0.5), ("GA", 0.9)]] * 4)
+        store = write_store(dataset, tmp_path / "s", shard_size=3)
+        profiler = Profiler(noise_sigma=0.0)
+        expected = oracle(profiler, dataset)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the profile path decoded a scenario")
+
+        monkeypatch.setattr(store_format, "_decode_row", refuse)
+        for executor in (pool, SerialExecutor()):
+            runtime = RuntimeConfig(executor=executor, dispatch="pickle")
+            for source, rows, sizes in (
+                (store, slice(None), [3, 3, 2]),
+                (StoreSlice(store, 1, 7), slice(1, 7), [2, 3, 1]),
+            ):
+                batches = list(profiler.iter_profile(source, runtime=runtime))
+                assert [len(b.matrix) for b in batches] == sizes
+                assert_bitwise(
+                    np.concatenate([b.matrix for b in batches]), expected[rows]
+                )

@@ -34,7 +34,7 @@ class TestCollect:
     def test_machine_metrics_cover_all_jobs(self, profiler, tiny_dataset):
         scenario = tiny_dataset[1]  # DC + mcf
         machine = tiny_dataset.shape.perf
-        values = profiler.collect(scenario, tiny_dataset, machine)
+        values = profiler.collect_many((scenario,), tiny_dataset, machine)[0]
         by_name = dict(zip(profiler.specs, values))
         named = {s.name: v for s, v in by_name.items()}
         sol = solve_colocation(machine, list(scenario.instances))
@@ -44,9 +44,9 @@ class TestCollect:
 
     def test_hp_metrics_zero_for_lp_only_scenario(self, profiler, tiny_dataset):
         scenario = tiny_dataset[3]  # sjeng + libquantum
-        values = profiler.collect(
-            scenario, tiny_dataset, tiny_dataset.shape.perf
-        )
+        values = profiler.collect_many(
+            (scenario,), tiny_dataset, tiny_dataset.shape.perf
+        )[0]
         named = {s.name: v for s, v in zip(profiler.specs, values)}
         assert named["MIPS-HP"] == 0.0
         assert named["ContainerCount-HP"] == 0.0
@@ -54,9 +54,9 @@ class TestCollect:
 
     def test_container_and_vcpu_accounting(self, profiler, tiny_dataset):
         scenario = tiny_dataset[4]  # IA + MS + DS + omnetpp
-        values = profiler.collect(
-            scenario, tiny_dataset, tiny_dataset.shape.perf
-        )
+        values = profiler.collect_many(
+            (scenario,), tiny_dataset, tiny_dataset.shape.perf
+        )[0]
         named = {s.name: v for s, v in zip(profiler.specs, values)}
         assert named["ContainerCount-Machine"] == 4.0
         assert named["ContainerCount-HP"] == 3.0
@@ -66,18 +66,18 @@ class TestCollect:
 
     def test_fraction_metrics_in_unit_interval(self, profiler, tiny_dataset):
         for scenario in tiny_dataset.scenarios:
-            values = profiler.collect(
-                scenario, tiny_dataset, tiny_dataset.shape.perf
-            )
+            values = profiler.collect_many(
+                (scenario,), tiny_dataset, tiny_dataset.shape.perf
+            )[0]
             for spec, value in zip(profiler.specs, values):
                 if spec.is_fraction:
                     assert 0.0 <= value <= 1.0 + 1e-9, spec.name
 
     def test_redundant_metrics_consistent(self, profiler, tiny_dataset):
         scenario = tiny_dataset[0]
-        values = profiler.collect(
-            scenario, tiny_dataset, tiny_dataset.shape.perf
-        )
+        values = profiler.collect_many(
+            (scenario,), tiny_dataset, tiny_dataset.shape.perf
+        )[0]
         named = {s.name: v for s, v in zip(profiler.specs, values)}
         assert named["MemTotalBytesPerSec-Machine"] == pytest.approx(
             named["MemTotalGBps-Machine"] * 1e9

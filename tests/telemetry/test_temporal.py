@@ -116,19 +116,14 @@ class TestVectorisedDifferential:
     def _assert_bitwise_equal(self, profiler, dataset):
         import struct
 
-        from repro.perfmodel.batch import solve_colocation_many
+        from repro.perfmodel import solve_colocation
         from repro.telemetry.metrics import MetricLevel
         from .metric_oracle import level_metrics, temporal_metrics_scalar
 
         machine = dataset.shape.perf
         bits = lambda x: struct.pack("<d", x)  # noqa: E731
         for scenario in dataset.scenarios:
-            solution = solve_colocation_many(
-                machine,
-                [list(scenario.instances)],
-                solver=profiler.solver,
-                memo=profiler.memo,
-            )[0]
+            solution = solve_colocation(machine, list(scenario.instances))
             pairs = list(zip(scenario.instances, solution.instances))
             base_values = {}
             for level, keep in (

@@ -52,6 +52,18 @@ class TestParser:
                 ["evaluate", "--model", str(model_path), "--feature", "nope"]
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--dataset", "d.json", "--out", "m.json"],
+            ["evaluate", "--model", "m.json", "--feature", "feature1"],
+        ],
+    )
+    def test_solver_flag_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--solver", "auto"])
+        assert "--solver" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])

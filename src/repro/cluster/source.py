@@ -28,6 +28,7 @@ from .._deprecations import resolve_renamed_kwarg
 from .machine import MachineShape
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..store.store import ShardTables
     from .scenario import Scenario, ScenarioDataset
 
 __all__ = [
@@ -167,6 +168,49 @@ class ScenarioContentHasher:
             chunks.append("\n")
         self._scenario_hash.update("".join(chunks).encode())
         self.n_scenarios += len(chunks) // 2
+
+    def update_tables(self, tables: "ShardTables") -> None:
+        """Fold columnar store rows without decoding them.
+
+        Byte-equivalent to :meth:`update_many` over the decoded
+        scenarios of *tables* (a :class:`~repro.store.store.ShardTables`):
+        the same ``id|occurrences|duration hex|name|load hex…`` line per
+        row, built from the columns, and the same conflict check over the
+        signatures of the jobs that occur in these rows — and only those.
+        """
+        rows = tables.scenario_table
+        if len(rows) == 0:
+            return
+        offsets = np.asarray(rows["inst_offset"], dtype=np.int64)
+        ends = offsets + np.asarray(rows["inst_count"], dtype=np.int64)
+        low = int(offsets.min())
+        instances = tables.instance_table[low : int(ends.max())]
+        jobs = instances["job"].tolist()
+        names = tables.job_names
+        for job in sorted(set(jobs)):
+            self._signature_repr(tables.signatures[names[job]])
+        float_hex = self._float_hex
+        tokens = [
+            f"{names[job]}|{float_hex(load)}"
+            for job, load in zip(jobs, instances["load"].tolist())
+        ]
+        chunks: list[str] = []
+        for scenario_id, occurrences, duration, start, stop in zip(
+            rows["scenario_id"].tolist(),
+            rows["n_occurrences"].tolist(),
+            rows["total_duration_s"].tolist(),
+            (offsets - low).tolist(),
+            (ends - low).tolist(),
+        ):
+            chunks.append(
+                "|".join(
+                    [str(scenario_id), str(occurrences), duration.hex()]
+                    + tokens[start:stop]
+                )
+            )
+            chunks.append("\n")
+        self._scenario_hash.update("".join(chunks).encode())
+        self.n_scenarios += len(rows)
 
     def signature_objects(self) -> dict[str, Any]:
         """The live signature objects folded so far, keyed by job name."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..stats.kmeans import KMeans, KMeansResult
 from ..stats.pca import PCA, PCAResult
-from ..stats.preprocessing import StandardScaler, whiten
+from ..stats.preprocessing import StandardScaler, whiten, whiten_scores
 from ..stats.silhouette import ClusterQualitySweep, knee_point, sweep_cluster_counts
 from .refinement import RefinedDataset
 
@@ -123,11 +123,7 @@ class AnalysisResult:
         """
         standardised = self.scaler.transform(refined_matrix)
         raw_scores = standardised @ self.pca.components[: self.n_components].T
-        centred = raw_scores - self.score_mean
-        out = np.zeros_like(centred)
-        live = self.score_std > 1e-12
-        out[:, live] = centred[:, live] / self.score_std[live]
-        return out
+        return whiten_scores(raw_scores, self.score_mean, self.score_std)
 
     def classify(self, refined_matrix: np.ndarray) -> np.ndarray:
         """Assign new refined-metric rows to the fitted clusters."""

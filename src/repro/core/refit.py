@@ -51,13 +51,17 @@ from ..obs import span as obs_span
 from ..stats.correlation import prune_from_correlation
 from ..stats.kmeans import KMeansResult, StreamingKMeans
 from ..stats.pca import IncrementalPCA
-from ..stats.preprocessing import StandardScaler
+from ..stats.preprocessing import (
+    StandardScaler,
+    live_components,
+    whiten_scores,
+)
 from ..stats.silhouette import knee_point, sweep_cluster_counts
-from ..stats.streaming import ReservoirSampler, RunningMoments
+from ..stats.streaming import RunningMoments
 from .analyzer import AnalysisResult, Analyzer
 from .interpretation import interpret_components
 from .representatives import representatives_from_assignments
-from .streaming_fit import DEFAULT_SAMPLE_CAPACITY
+from .streaming_fit import DEFAULT_SAMPLE_CAPACITY, score_pass
 
 __all__ = [
     "DEFAULT_MAX_SCALER_DRIFT",
@@ -268,8 +272,8 @@ def _warm_start_init(
     ):
         return centroids.copy()
 
-    prev_live = prev_analysis.score_std > 1e-12 * np.maximum(
-        1.0, np.abs(prev_analysis.score_mean)
+    prev_live = live_components(
+        prev_analysis.score_mean, prev_analysis.score_std
     )
     raw_prev = (
         np.where(prev_live, centroids * prev_analysis.score_std, 0.0)
@@ -280,11 +284,7 @@ def _warm_start_init(
     metric_full = np.tile(full_mean, (centroids.shape[0], 1))
     metric_full[:, prev_kept] = metric_prev
     raw_new = scaler.transform(metric_full[:, kept]) @ components.T
-    centred = raw_new - score_mean
-    live = score_std > 1e-12 * np.maximum(1.0, np.abs(score_mean))
-    out = np.zeros_like(centred)
-    out[:, live] = centred[:, live] / score_std[live]
-    return out
+    return whiten_scores(raw_new, score_mean, score_std)
 
 
 def refit(
@@ -472,32 +472,17 @@ def refit(
         n_components = Analyzer(cfg)._select_components(pca_result)
         components = pca_result.components[:n_components]
 
-        # Pass 4: score whitening statistics + clustering reservoir.
-        score_moments = RunningMoments()
-        sampler = ReservoirSampler(
-            sample_capacity, seed=np.random.default_rng(cfg.seed)
+        # Pass 4: whitened scores of fixed blocks, their statistics and
+        # the clustering reservoir.
+        scores = score_pass(
+            _iter_fixed_blocks(metric_store, block_rows),
+            scaler,
+            kept,
+            components,
+            n_rows=n_total,
+            sample_capacity=sample_capacity,
+            seed=cfg.seed,
         )
-        for block in _iter_fixed_blocks(metric_store, block_rows):
-            raw = scaler.transform(block[:, kept]) @ components.T
-            score_moments.update(raw)
-            sampler.update(raw)
-        score_mean = score_moments.mean
-        score_std = score_moments.std(ddof=0)
-        live = score_std > 1e-12 * np.maximum(1.0, np.abs(score_mean))
-
-        def whiten_rows(raw: np.ndarray) -> np.ndarray:
-            centred = raw - score_mean
-            out = np.zeros_like(centred)
-            out[:, live] = centred[:, live] / score_std[live]
-            return out
-
-        def score_batches():
-            for block in _iter_fixed_blocks(metric_store, block_rows):
-                yield whiten_rows(
-                    scaler.transform(block[:, kept]) @ components.T
-                )
-
-        sample_scores = whiten_rows(sampler.sample())
         weights = source.weights() if cfg.weight_samples else None
 
         # Pass 5: cluster — warm-started single run, or the full
@@ -508,23 +493,23 @@ def refit(
             chosen_k = prev.analysis.n_clusters
             init = _warm_start_init(
                 prev, kept, scaler, components,
-                score_mean, score_std, moments.mean,
+                scores.mean, scores.std, moments.mean,
             )
         elif cfg.n_clusters is not None:
             chosen_k = cfg.n_clusters
         else:
             counts = tuple(
                 k for k in cfg.cluster_counts
-                if k <= sample_scores.shape[0]
+                if k <= scores.sample.shape[0]
             )
             if not counts:
                 raise ValueError(
                     "no candidate cluster count fits the clustering "
-                    f"sample ({sample_scores.shape[0]} rows); raise "
+                    f"sample ({scores.sample.shape[0]} rows); raise "
                     "sample_capacity or set n_clusters explicitly"
                 )
             sweep = sweep_cluster_counts(
-                sample_scores,
+                scores.sample,
                 counts,
                 kmeans_factory=Analyzer(cfg)._kmeans_factory,
                 sample_weight=weights,
@@ -541,9 +526,9 @@ def refit(
             seed=np.random.default_rng(cfg.seed),
         )
         kmeans_result: KMeansResult = streaming_kmeans.fit(
-            score_batches,
+            scores.batches,
             n_total=n_total,
-            sample=sample_scores,
+            sample=scores.sample,
             sample_weight=weights,
             init=init,
         )
@@ -557,8 +542,8 @@ def refit(
             pca=pca_result,
             n_components=n_components,
             scores=None,
-            score_mean=score_mean,
-            score_std=score_std,
+            score_mean=scores.mean,
+            score_std=scores.std,
             sweep=sweep,
             kmeans=kmeans_result,
             cluster_weights=cluster_weights,
@@ -729,31 +714,15 @@ def _replay(
     n_components = Analyzer(cfg)._select_components(pca_result)
     components = pca_result.components[:n_components]
 
-    score_moments = RunningMoments()
-    sampler = ReservoirSampler(
-        sample_capacity, seed=np.random.default_rng(cfg.seed)
+    scores = score_pass(
+        _iter_fixed_blocks(metric_store, block_rows),
+        scaler,
+        kept,
+        components,
+        n_rows=n_total,
+        sample_capacity=sample_capacity,
+        seed=cfg.seed,
     )
-    for block in _iter_fixed_blocks(metric_store, block_rows):
-        raw = scaler.transform(block[:, kept]) @ components.T
-        score_moments.update(raw)
-        sampler.update(raw)
-    score_mean = score_moments.mean
-    score_std = score_moments.std(ddof=0)
-    live = score_std > 1e-12 * np.maximum(1.0, np.abs(score_mean))
-
-    def whiten_rows(raw):
-        centred = raw - score_mean
-        out = np.zeros_like(centred)
-        out[:, live] = centred[:, live] / score_std[live]
-        return out
-
-    def score_batches():
-        for block in _iter_fixed_blocks(metric_store, block_rows):
-            yield whiten_rows(
-                scaler.transform(block[:, kept]) @ components.T
-            )
-
-    sample_scores = whiten_rows(sampler.sample())
     weights = source.weights() if cfg.weight_samples else None
 
     streaming_kmeans = StreamingKMeans(
@@ -763,9 +732,9 @@ def _replay(
         seed=np.random.default_rng(cfg.seed),
     )
     kmeans_result = streaming_kmeans.fit(
-        score_batches,
+        scores.batches,
         n_total=n_total,
-        sample=sample_scores,
+        sample=scores.sample,
         sample_weight=weights,
         init=init,
     )
@@ -778,8 +747,8 @@ def _replay(
         pca=pca_result,
         n_components=n_components,
         scores=None,
-        score_mean=score_mean,
-        score_std=score_std,
+        score_mean=scores.mean,
+        score_std=scores.std,
         sweep=None,
         kmeans=kmeans_result,
         cluster_weights=cluster_weights,

@@ -2,8 +2,9 @@
 
 The in-memory pipeline holds three dense matrices at once: the full
 profiled metric matrix, its standardised copy, and the whitened PC
-scores.  For a store-backed source (:mod:`repro.store`) none of those
-may be materialised — peak memory must stay bounded by the shard size.
+scores.  For a store-backed source (:mod:`repro.store`) the two
+metric-wide matrices are never materialised — only the
+``n_components``-wide scores are, beside per-row labels and distances.
 This module runs the same standardise → prune → PCA → whiten → cluster
 sequence as :class:`~repro.core.analyzer.Analyzer` in multiple passes:
 
@@ -18,13 +19,17 @@ sequence as :class:`~repro.core.analyzer.Analyzer` in multiple passes:
    (:meth:`StandardScaler.from_moments`).
 3. **PCA** — :class:`~repro.stats.IncrementalPCA` over standardised
    shard batches re-read (memory-mapped) from the spill store.
-4. **Score statistics** — a third pass projects each shard into PC
-   space, accumulating the whitening statistics and a seeded uniform
-   :class:`~repro.stats.ReservoirSampler` of raw scores.
+4. **Scores** — a third pass (:func:`score_pass`) projects each shard
+   into PC space once, accumulating the whitening statistics and a
+   seeded uniform :class:`~repro.stats.ReservoirSampler` of raw scores;
+   the scores stay resident and are whitened in place afterwards.  At
+   ``n × n_components`` float64 they are ``n_components / n_metrics``
+   (about 1/8) of the metric spill.
 5. **Cluster** — :class:`~repro.stats.StreamingKMeans` seeded on the
-   whitened sample, refined with full-data Lloyd passes; its final
-   labelling pass yields per-row assignments and distances, from which
-   representatives are ranked without a resident score matrix.
+   whitened sample, refined with full-data Lloyd passes over the
+   resident scores in the spill's shard blocks; its final labelling
+   pass yields per-row assignments and distances, from which
+   representatives are ranked.
 
 Equivalence contract: every accumulated statistic matches the
 in-memory computation to ~1e-12 relative (the streaming-moments merge
@@ -48,7 +53,7 @@ from ..obs import span as obs_span
 from ..stats.correlation import PruneReport, prune_from_correlation
 from ..stats.kmeans import KMeansResult, StreamingKMeans
 from ..stats.pca import IncrementalPCA
-from ..stats.preprocessing import StandardScaler
+from ..stats.preprocessing import StandardScaler, whiten_scores
 from ..stats.silhouette import knee_point, sweep_cluster_counts
 from ..stats.streaming import ReservoirSampler, RunningMoments
 from ..telemetry.database import Database
@@ -59,7 +64,13 @@ from .representatives import (
     representatives_from_assignments,
 )
 
-__all__ = ["DEFAULT_SAMPLE_CAPACITY", "StreamingFit", "streaming_fit"]
+__all__ = [
+    "DEFAULT_SAMPLE_CAPACITY",
+    "ScorePass",
+    "StreamingFit",
+    "score_pass",
+    "streaming_fit",
+]
 
 #: Rows retained by the clustering reservoir.  Sources at or below this
 #: size keep every row and the clustering is exactly the in-memory one;
@@ -84,6 +95,79 @@ class StreamingFit:
     n_scenarios: int
 
 
+@dataclass(frozen=True)
+class ScorePass:
+    """Every row's whitened PC scores, computed in one pass.
+
+    ``scores`` is the resident ``(n_rows, n_components)`` matrix — an
+    ``n_components / n_metrics`` fraction of the metric spill it was
+    projected from.  ``bounds`` are the row offsets of the blocks the
+    pass read; :meth:`batches` yields the scores in exactly those
+    blocks, so Lloyd passes see the same arrays, block for block, as
+    when each pass re-projected the spill.
+    """
+
+    scores: np.ndarray
+    bounds: tuple[int, ...]
+    mean: np.ndarray
+    std: np.ndarray
+    #: The whitened clustering reservoir.
+    sample: np.ndarray
+
+    def batches(self):
+        """Views of :attr:`scores`, one per block of the pass."""
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            yield self.scores[lo:hi]
+
+
+def score_pass(
+    blocks,
+    scaler: StandardScaler,
+    kept: list[int],
+    components: np.ndarray,
+    *,
+    n_rows: int,
+    sample_capacity: int,
+    seed,
+) -> ScorePass:
+    """Project the metric *blocks* into PC space once.
+
+    Folds the whitening statistics and a seeded
+    :class:`~repro.stats.ReservoirSampler` of raw scores per block, keeps
+    the raw scores, and whitens them in place, block by block, once the
+    statistics are known — so the pass holds one score matrix plus one
+    block's temporaries, never a second full copy.
+    """
+    scores = np.empty((n_rows, components.shape[0]), dtype=np.float64)
+    bounds = [0]
+    moments = RunningMoments()
+    sampler = ReservoirSampler(
+        sample_capacity, seed=np.random.default_rng(seed)
+    )
+    for block in blocks:
+        projected = scaler.transform(block[:, kept]) @ components.T
+        moments.update(projected)
+        sampler.update(projected)
+        start = bounds[-1]
+        bounds.append(start + projected.shape[0])
+        scores[start : bounds[-1]] = projected
+    if bounds[-1] != n_rows:
+        raise ValueError(
+            f"metric blocks held {bounds[-1]} rows, expected {n_rows}"
+        )
+    mean = moments.mean
+    std = moments.std(ddof=0)
+    for start, stop in zip(bounds, bounds[1:]):
+        scores[start:stop] = whiten_scores(scores[start:stop], mean, std)
+    return ScorePass(
+        scores=scores,
+        bounds=tuple(bounds),
+        mean=mean,
+        std=std,
+        sample=whiten_scores(sampler.sample(), mean, std),
+    )
+
+
 def streaming_fit(
     source: ScenarioSource,
     config,
@@ -94,7 +178,7 @@ def streaming_fit(
     spill_dir=None,
     sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
 ) -> StreamingFit:
-    """Fit FLARE steps 1–3 over *source* at shard-bounded memory.
+    """Fit FLARE steps 1–3 over *source* without a resident metric matrix.
 
     Parameters
     ----------
@@ -195,32 +279,17 @@ def _streaming_fit(
         n_components = Analyzer(cfg)._select_components(pca_result)
         components = pca_result.components[:n_components]
 
-        # Pass 3: score whitening statistics + clustering reservoir.
-        score_moments = RunningMoments()
-        sampler = ReservoirSampler(
-            sample_capacity, seed=np.random.default_rng(cfg.seed)
+        # Pass 3: the whitened scores, their statistics and the
+        # clustering reservoir, in blocks of the spill's shards.
+        scores = score_pass(
+            metric_store.iter_matrices(),
+            scaler,
+            kept,
+            components,
+            n_rows=metric_store.n_rows,
+            sample_capacity=sample_capacity,
+            seed=cfg.seed,
         )
-        for matrix in metric_store.iter_matrices():
-            raw = scaler.transform(matrix[:, kept]) @ components.T
-            score_moments.update(raw)
-            sampler.update(raw)
-        score_mean = score_moments.mean
-        score_std = score_moments.std(ddof=0)
-        live = score_std > 1e-12 * np.maximum(1.0, np.abs(score_mean))
-
-        def whiten_rows(raw: np.ndarray) -> np.ndarray:
-            centred = raw - score_mean
-            out = np.zeros_like(centred)
-            out[:, live] = centred[:, live] / score_std[live]
-            return out
-
-        def score_batches():
-            for matrix in metric_store.iter_matrices():
-                yield whiten_rows(
-                    scaler.transform(matrix[:, kept]) @ components.T
-                )
-
-        sample_scores = whiten_rows(sampler.sample())
         weights = source.weights() if cfg.weight_samples else None
 
         # Cluster-count sweep runs on the sample: exact while the
@@ -232,16 +301,16 @@ def _streaming_fit(
             counts = tuple(
                 k
                 for k in cfg.cluster_counts
-                if k <= sample_scores.shape[0]
+                if k <= scores.sample.shape[0]
             )
             if not counts:
                 raise ValueError(
                     "no candidate cluster count fits the clustering "
-                    f"sample ({sample_scores.shape[0]} rows); raise "
+                    f"sample ({scores.sample.shape[0]} rows); raise "
                     "sample_capacity or set n_clusters explicitly"
                 )
             sweep = sweep_cluster_counts(
-                sample_scores,
+                scores.sample,
                 counts,
                 kmeans_factory=Analyzer(cfg)._kmeans_factory,
                 sample_weight=weights,
@@ -256,9 +325,9 @@ def _streaming_fit(
             seed=np.random.default_rng(cfg.seed),
         )
         kmeans_result: KMeansResult = streaming_kmeans.fit(
-            score_batches,
+            scores.batches,
             n_total=n_total,
-            sample=sample_scores,
+            sample=scores.sample,
             sample_weight=weights,
         )
         cluster_weights = kmeans_result.cluster_weights(
@@ -271,8 +340,8 @@ def _streaming_fit(
             pca=pca_result,
             n_components=n_components,
             scores=None,
-            score_mean=score_mean,
-            score_std=score_std,
+            score_mean=scores.mean,
+            score_std=scores.std,
             sweep=sweep,
             kmeans=kmeans_result,
             cluster_weights=cluster_weights,

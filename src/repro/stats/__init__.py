@@ -23,7 +23,7 @@ from .kmeans import (
     kmeans_plus_plus_init,
 )
 from .pca import PCA, PCAResult, IncrementalPCA, components_for_variance
-from .preprocessing import StandardScaler, whiten
+from .preprocessing import StandardScaler, whiten, whiten_scores
 from .streaming import ReservoirSampler, RunningMoments
 from .sampling import (
     DistributionSummary,
@@ -50,6 +50,7 @@ __all__ = [
     "components_for_variance",
     "StandardScaler",
     "whiten",
+    "whiten_scores",
     "AgglomerativeClustering",
     "AgglomerativeResult",
     "KMeans",

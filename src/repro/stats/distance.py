@@ -6,7 +6,13 @@ import numpy as np
 
 from .validation import as_matrix
 
-__all__ = ["pairwise_sq_euclidean", "pairwise_euclidean", "nearest_indices"]
+__all__ = [
+    "pairwise_sq_euclidean",
+    "pairwise_euclidean",
+    "nearest_indices",
+    "row_sq_norms",
+    "sq_distances",
+]
 
 
 def pairwise_sq_euclidean(a, b) -> np.ndarray:
@@ -23,16 +29,38 @@ def pairwise_sq_euclidean(a, b) -> np.ndarray:
             f"dimension mismatch: a has {mat_a.shape[1]} columns, "
             f"b has {mat_b.shape[1]}"
         )
-    sq_a = np.einsum("ij,ij->i", mat_a, mat_a)[:, None]
-    sq_b = np.einsum("ij,ij->i", mat_b, mat_b)[None, :]
-    dist = sq_a - 2.0 * (mat_a @ mat_b.T) + sq_b
+    return sq_distances(mat_a, mat_b, row_sq_norms(mat_a))
+
+
+def row_sq_norms(matrix: np.ndarray) -> np.ndarray:
+    """``‖x‖²`` of every row of a validated matrix."""
+    return np.einsum("ij,ij->i", matrix, matrix)
+
+
+def sq_distances(
+    data: np.ndarray, centres: np.ndarray, data_sq: np.ndarray
+) -> np.ndarray:
+    """Kernel of :func:`pairwise_sq_euclidean` over validated inputs.
+
+    *data_sq* is :func:`row_sq_norms` of *data*, so callers that measure
+    the same rows against many centre sets (Lloyd iterations, k-means++
+    seeding) compute it once.  The matrix is built in place as
+    ``(‖x‖² − 2·x·c) + ‖c‖²`` — negation and the order of the two
+    additions are exact, so every entry equals the textbook
+    expression's bit for bit.
+    """
+    dist = data @ centres.T
+    dist *= -2.0
+    dist += data_sq[:, None]
+    dist += row_sq_norms(centres)[None, :]
     np.maximum(dist, 0.0, out=dist)
     return dist
 
 
 def pairwise_euclidean(a, b) -> np.ndarray:
     """Euclidean distances between rows of *a* and rows of *b*."""
-    return np.sqrt(pairwise_sq_euclidean(a, b))
+    dist = pairwise_sq_euclidean(a, b)
+    return np.sqrt(dist, out=dist)
 
 
 def nearest_indices(points, targets) -> np.ndarray:

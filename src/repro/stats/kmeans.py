@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import pairwise_sq_euclidean
+from ..obs import span as obs_span
+from .distance import pairwise_sq_euclidean, row_sq_norms, sq_distances
 from .validation import as_matrix, check_random_state
 
 __all__ = [
@@ -88,18 +89,28 @@ def kmeans_plus_plus_init(
     sample_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Select initial centroids by D² weighted sampling (k-means++)."""
-    n_samples = data.shape[0]
     weight = (
-        np.ones(n_samples)
+        np.ones(data.shape[0])
         if sample_weight is None
         else np.asarray(sample_weight, dtype=np.float64)
     )
+    return _plus_plus_init(data, row_sq_norms(data), n_clusters, rng, weight)
+
+
+def _plus_plus_init(
+    data: np.ndarray,
+    data_sq: np.ndarray,
+    n_clusters: int,
+    rng: np.random.Generator,
+    weight: np.ndarray,
+) -> np.ndarray:
+    n_samples = data.shape[0]
     prob = weight / weight.sum()
     centroids = np.empty((n_clusters, data.shape[1]), dtype=np.float64)
 
     first = rng.choice(n_samples, p=prob)
     centroids[0] = data[first]
-    closest_sq = pairwise_sq_euclidean(data, centroids[:1]).ravel()
+    closest_sq = sq_distances(data, centroids[:1], data_sq).ravel()
 
     for k in range(1, n_clusters):
         scores = closest_sq * weight
@@ -111,7 +122,7 @@ def kmeans_plus_plus_init(
         else:
             idx = rng.choice(n_samples, p=scores / total)
         centroids[k] = data[idx]
-        new_sq = pairwise_sq_euclidean(data, centroids[k : k + 1]).ravel()
+        new_sq = sq_distances(data, centroids[k : k + 1], data_sq).ravel()
         np.minimum(closest_sq, new_sq, out=closest_sq)
     return centroids
 
@@ -185,15 +196,19 @@ class KMeans:
                     f"init must have shape ({self.n_clusters}, "
                     f"{matrix.shape[1]}), got {init.shape}"
                 )
-            best = self._single_run(matrix, weight, rng, init=init)
-            self.result_ = best
-            return best
-        best: KMeansResult | None = None
-        for _ in range(self.n_init):
-            candidate = self._single_run(matrix, weight, rng)
-            if best is None or candidate.inertia < best.inertia:
-                best = candidate
-        assert best is not None
+        rows = _LloydRows.of(matrix, weight)
+        restarts = 1 if init is not None else self.n_init
+        with obs_span(
+            "kmeans.fit", k=self.n_clusters, restarts=restarts
+        ) as fit_span:
+            best: KMeansResult | None = None
+            for _ in range(restarts):
+                candidate = self._single_run(rows, rng, init=init)
+                if best is None or candidate.inertia < best.inertia:
+                    best = candidate
+            assert best is not None
+            if fit_span is not None:
+                fit_span.attrs["lloyd_passes"] = best.n_iter
         self.result_ = best
         return best
 
@@ -208,27 +223,26 @@ class KMeans:
     # ------------------------------------------------------------------
     def _single_run(
         self,
-        data: np.ndarray,
-        weight: np.ndarray | None,
+        rows: "_LloydRows",
         rng: np.random.Generator,
         init: np.ndarray | None = None,
     ) -> KMeansResult:
+        data = rows.data
         if init is not None:
             centroids = init.copy()
         else:
-            centroids = kmeans_plus_plus_init(
-                data, self.n_clusters, rng, weight
+            centroids = _plus_plus_init(
+                data, rows.sq, self.n_clusters, rng, rows.weight
             )
-        eff_weight = np.ones(data.shape[0]) if weight is None else weight
         labels = np.full(data.shape[0], -1, dtype=np.intp)
         converged = False
         n_iter = 0
 
         for n_iter in range(1, self.max_iter + 1):
-            dist = pairwise_sq_euclidean(data, centroids)
+            dist = sq_distances(data, centroids, rows.sq)
             new_labels = np.argmin(dist, axis=1)
             new_centroids = _update_centroids(
-                data, new_labels, eff_weight, centroids, dist, self.n_clusters
+                rows, new_labels, centroids, dist, self.n_clusters
             )
             shift = float(((new_centroids - centroids) ** 2).sum())
             stable = bool((new_labels == labels).all())
@@ -237,10 +251,10 @@ class KMeans:
                 converged = True
                 break
 
-        final_dist = pairwise_sq_euclidean(data, centroids)
+        final_dist = sq_distances(data, centroids, rows.sq)
         labels = np.argmin(final_dist, axis=1)
         point_sq = final_dist[np.arange(data.shape[0]), labels]
-        inertia = float((point_sq * eff_weight).sum())
+        inertia = float((point_sq * rows.weight).sum())
         return KMeansResult(
             centroids=centroids,
             labels=labels,
@@ -265,8 +279,9 @@ class StreamingKMeans:
 
     ``batches`` is a zero-argument callable returning a fresh iterator
     of ``(rows, n_features)`` arrays; it is consumed once per Lloyd
-    pass plus once for the final labelling pass.  Results depend only
-    on the row stream, not on how it is batched.
+    pass plus once for the final labelling pass, and must yield the
+    same rows every time (they are validated on the first pass only).
+    Results depend only on the row stream, not on how it is batched.
     """
 
     def __init__(
@@ -321,15 +336,24 @@ class StreamingKMeans:
                     f"init must have shape ({self.n_clusters}, "
                     f"{sample.shape[1]}), got {init.shape}"
                 )
-        if sample.shape[0] >= n_total:
-            return self._fit_exact(sample, sample_weight, init)
-        if sample_weight is not None:
+        exact = sample.shape[0] >= n_total
+        if not exact and sample_weight is not None:
             raise ValueError(
                 "sample_weight requires the full dataset inside the "
                 "initialisation sample; raise the sample capacity or use "
                 "the in-memory fit"
             )
-        return self._fit_streaming(batches, n_total, sample, init)
+        restarts = 1 if init is not None else self.n_init
+        with obs_span(
+            "kmeans.fit", k=self.n_clusters, restarts=restarts
+        ) as fit_span:
+            if exact:
+                result = self._fit_exact(sample, sample_weight, init)
+            else:
+                result = self._fit_streaming(batches, n_total, sample, init)
+            if fit_span is not None:
+                fit_span.attrs["lloyd_passes"] = result.n_iter
+        return result
 
     # ------------------------------------------------------------------
     def _fit_exact(self, sample, sample_weight, init=None) -> KMeansResult:
@@ -361,14 +385,15 @@ class StreamingKMeans:
         k = self.n_clusters
         converged = False
         n_iter = 0
+        validated = False
         for n_iter in range(1, self.max_iter + 1):
             sums = np.zeros_like(centroids)
             counts = np.zeros(k, dtype=np.float64)
             far_vals = np.full(k, -np.inf)
             far_rows = np.zeros_like(centroids)
             for batch in batches():
-                matrix = as_matrix(batch, name="batch")
-                dist = pairwise_sq_euclidean(matrix, centroids)
+                matrix = _stream_rows(batch, centroids, validated)
+                dist = sq_distances(matrix, centroids, row_sq_norms(matrix))
                 labels = np.argmin(dist, axis=1)
                 point_sq = dist[np.arange(matrix.shape[0]), labels]
                 counts += np.bincount(labels, minlength=k)
@@ -390,6 +415,7 @@ class StreamingKMeans:
                     new_centroids[cluster] = far_rows[slot % k]
             shift = float(((new_centroids - centroids) ** 2).sum())
             centroids = new_centroids
+            validated = True
             if shift <= self.tol:
                 converged = True
                 break
@@ -398,8 +424,8 @@ class StreamingKMeans:
         point_sq = np.empty(n_total, dtype=np.float64)
         position = 0
         for batch in batches():
-            matrix = as_matrix(batch, name="batch")
-            dist = pairwise_sq_euclidean(matrix, centroids)
+            matrix = _stream_rows(batch, centroids, validated)
+            dist = sq_distances(matrix, centroids, row_sq_norms(matrix))
             batch_labels = np.argmin(dist, axis=1)
             rows = matrix.shape[0]
             labels[position : position + rows] = batch_labels
@@ -421,6 +447,20 @@ class StreamingKMeans:
         self.point_sq_distances_ = point_sq
         self.result_ = result
         return result
+
+
+def _stream_rows(batch, centroids: np.ndarray, validated: bool) -> np.ndarray:
+    """One streamed batch as float rows; the first pass over the stream
+    validates it, later passes re-read rows already checked."""
+    if validated:
+        return np.asarray(batch, dtype=np.float64)
+    matrix = as_matrix(batch, name="batch")
+    if matrix.shape[1] != centroids.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: batch has {matrix.shape[1]} columns, "
+            f"centroids have {centroids.shape[1]}"
+        )
+    return matrix
 
 
 def _assigned_sq_distances(
@@ -452,23 +492,49 @@ def assigned_sq_distances(
     return _assigned_sq_distances(data, centroids, labels)
 
 
+@dataclass(frozen=True)
+class _LloydRows:
+    """What every Lloyd iteration of one fit reads: the validated rows,
+    their squared norms, the effective weights (ones when unweighted)
+    and the weighted rows the centroid sums accumulate."""
+
+    data: np.ndarray
+    sq: np.ndarray
+    weight: np.ndarray
+    weighted: np.ndarray
+
+    @classmethod
+    def of(cls, data: np.ndarray, weight: np.ndarray | None) -> "_LloydRows":
+        eff = np.ones(data.shape[0]) if weight is None else weight
+        return cls(data, row_sq_norms(data), eff, eff[:, None] * data)
+
+
 def _update_centroids(
-    data: np.ndarray,
+    rows: _LloydRows,
     labels: np.ndarray,
-    weight: np.ndarray,
     old_centroids: np.ndarray,
     dist: np.ndarray,
     n_clusters: int,
 ) -> np.ndarray:
-    """Weighted centroid update with empty-cluster repair."""
+    """Weighted centroid update with empty-cluster repair.
+
+    All ``k × d`` sums come from one ``bincount`` over the bins
+    ``label·d + dim``.  ``bincount`` adds its weights in input order, so
+    every bin still sums its rows in row order — the same additions, in
+    the same order, as one ``bincount`` per dimension.
+    """
+    data = rows.data
+    n_dims = data.shape[1]
     centroids = old_centroids.copy()
-    mass = np.bincount(labels, weights=weight, minlength=n_clusters)
-    for dim in range(data.shape[1]):
-        sums = np.bincount(
-            labels, weights=weight * data[:, dim], minlength=n_clusters
-        )
-        live = mass > 0
-        centroids[live, dim] = sums[live] / mass[live]
+    mass = np.bincount(labels, weights=rows.weight, minlength=n_clusters)
+    bins = (labels * n_dims)[:, None] + np.arange(n_dims)
+    sums = np.bincount(
+        bins.ravel(),
+        weights=rows.weighted.ravel(),
+        minlength=n_clusters * n_dims,
+    ).reshape(n_clusters, n_dims)
+    live = mass > 0
+    centroids[live] = sums[live] / mass[live, None]
 
     empty = np.flatnonzero(mass == 0)
     if empty.size:

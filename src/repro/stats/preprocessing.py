@@ -12,7 +12,7 @@ import numpy as np
 
 from .validation import as_matrix
 
-__all__ = ["StandardScaler", "whiten"]
+__all__ = ["StandardScaler", "live_components", "whiten", "whiten_scores"]
 
 
 class StandardScaler:
@@ -98,7 +98,7 @@ class StandardScaler:
         return matrix * self.scale_ + self.mean_
 
 
-def whiten(components: np.ndarray, *, epsilon: float = 1e-12) -> np.ndarray:
+def whiten(components: np.ndarray) -> np.ndarray:
     """Rescale each column of *components* to unit variance.
 
     The paper whitens the selected PCs so that every high-level metric
@@ -106,17 +106,39 @@ def whiten(components: np.ndarray, *, epsilon: float = 1e-12) -> np.ndarray:
     scores already have zero mean, so whitening is a per-column division by
     the standard deviation.
 
-    Columns whose variance is below *epsilon* are returned as zeros: a PC
-    with no spread cannot contribute to distances and dividing by ~0 would
-    amplify numeric noise into fake structure.
+    Columns without spread (see :func:`live_components`) are returned as
+    zeros: a PC with no spread cannot contribute to distances and
+    dividing by ~0 would amplify numeric noise into fake structure.
     """
     matrix = as_matrix(components, name="components")
     mean = matrix.mean(axis=0)
-    centered = matrix - mean
-    std = centered.std(axis=0, ddof=0)
-    out = np.zeros_like(centered)
-    # Relative threshold: a column of identical large values has a tiny
-    # non-zero float std that must not be amplified into fake structure.
-    live = std > epsilon * np.maximum(1.0, np.abs(mean))
-    out[:, live] = centered[:, live] / std[live]
+    return whiten_scores(matrix, mean, (matrix - mean).std(axis=0, ddof=0))
+
+
+def live_components(mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Mask of the score columns that carry spread.
+
+    The threshold is relative: a column of identical large values has a
+    tiny non-zero float std that must not be amplified into fake
+    structure.
+    """
+    return std > 1e-12 * np.maximum(1.0, np.abs(mean))
+
+
+def whiten_scores(
+    raw: np.ndarray, mean: np.ndarray, std: np.ndarray
+) -> np.ndarray:
+    """Whiten raw PC scores with a fit's score statistics.
+
+    Centres every column on *mean* and divides the
+    :func:`live_components` by *std*; dead columns are zero.  The fits
+    (through :func:`whiten` or their score pass), the out-of-sample
+    projection and the refit warm start all whiten through this one
+    function.  Element-wise, so whitening a block of rows equals
+    whitening them one at a time, bit for bit.
+    """
+    centred = raw - mean
+    out = np.zeros_like(centred)
+    live = live_components(mean, std)
+    out[:, live] = centred[:, live] / std[live]
     return out

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs import span as obs_span
 from .distance import pairwise_euclidean
 from .validation import as_matrix, check_labels
 
@@ -45,39 +46,34 @@ def silhouette_samples(data, labels) -> np.ndarray:
     """
     matrix = as_matrix(data, name="data", min_rows=2)
     lab = check_labels(labels, matrix.shape[0])
-    unique = np.unique(lab)
-    if unique.size < 2:
+    if np.unique(lab).size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
+    return _silhouette_from_distances(pairwise_euclidean(matrix, matrix), lab)
 
-    dist = pairwise_euclidean(matrix, matrix)
-    n = matrix.shape[0]
-    sizes = {int(c): int((lab == c).sum()) for c in unique}
 
+def _silhouette_from_distances(dist: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Silhouette coefficients from the ``(n, n)`` Euclidean distances
+    of at least two validated clusters."""
+    unique, own_col, sizes = np.unique(
+        lab, return_inverse=True, return_counts=True
+    )
+    n = lab.shape[0]
     # Mean distance from every sample to every cluster, in one pass.
     mean_to_cluster = np.empty((n, unique.size))
     for j, cluster in enumerate(unique):
-        members = lab == cluster
-        mean_to_cluster[:, j] = dist[:, members].mean(axis=1)
+        mean_to_cluster[:, j] = dist[:, lab == cluster].mean(axis=1)
 
-    scores = np.zeros(n)
-    cluster_pos = {int(c): j for j, c in enumerate(unique)}
-    for i in range(n):
-        own = int(lab[i])
-        size = sizes[own]
-        if size == 1:
-            scores[i] = 0.0
-            continue
-        own_col = cluster_pos[own]
-        # Exclude self from the intra-cluster mean.
-        a = mean_to_cluster[i, own_col] * size / (size - 1)
-        others = [
-            mean_to_cluster[i, j]
-            for j in range(unique.size)
-            if j != own_col
-        ]
-        b = min(others)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    rows = np.arange(n)
+    own_size = sizes[own_col]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Exclude self from the intra-cluster mean (singletons score 0
+        # below, whatever their quotient here).
+        a = mean_to_cluster[rows, own_col] * own_size / (own_size - 1)
+        mean_to_cluster[rows, own_col] = np.inf
+        b = mean_to_cluster.min(axis=1)
+        denom = np.maximum(a, b)
+        scores = (b - a) / denom
+    scores[(own_size == 1) | (denom == 0.0)] = 0.0
     return scores
 
 
@@ -125,13 +121,19 @@ def sweep_cluster_counts(
 
     sse = np.empty(len(counts))
     sil = np.empty(len(counts))
-    for i, k in enumerate(counts):
-        result = kmeans_factory(k).fit(matrix, sample_weight=sample_weight)
-        sse[i] = result.inertia
-        if np.unique(result.labels).size < 2:
-            sil[i] = 0.0
-        else:
-            sil[i] = silhouette_score(matrix, result.labels)
+    with obs_span("cluster.sweep", counts=counts, rows=matrix.shape[0]):
+        # Every candidate k is scored against the same rows: one
+        # distance matrix serves all of their silhouettes.
+        dist = pairwise_euclidean(matrix, matrix)
+        for i, k in enumerate(counts):
+            result = kmeans_factory(k).fit(matrix, sample_weight=sample_weight)
+            sse[i] = result.inertia
+            if np.unique(result.labels).size < 2:
+                sil[i] = 0.0
+            else:
+                sil[i] = float(
+                    _silhouette_from_distances(dist, result.labels).mean()
+                )
     return ClusterQualitySweep(
         cluster_counts=np.asarray(counts), sse=sse, silhouette=sil
     )

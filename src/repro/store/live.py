@@ -252,8 +252,8 @@ class StoreSlice:
         """Logical content digest of the slice (computed once)."""
         if self._digest is None:
             hasher = ScenarioContentHasher(self.shape)
-            for batch in self.iter_batches():
-                hasher.update_many(batch.scenarios)
+            for tables in self.iter_tables():
+                hasher.update_tables(tables)
             self._digest = hasher.hexdigest()
         return self._digest
 

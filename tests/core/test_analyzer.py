@@ -116,6 +116,29 @@ class TestProjection:
         labels = analysis.classify(refined.matrix)
         np.testing.assert_array_equal(labels, analysis.labels)
 
+    def test_project_uses_the_fits_relative_live_mask(self, analysis, refined):
+        # A component whose std clears the old absolute 1e-12 cut-off but
+        # not the relative 1e-12·|mean| rule every fit path whitens with:
+        # the fit zeroes it, so projection must too instead of dividing
+        # by ~1e-10 and letting that column dominate classification.
+        import dataclasses
+
+        mean = analysis.score_mean.copy()
+        std = analysis.score_std.copy()
+        mean[0], std[0] = 1.0e3, 1.0e-10
+        drifted = dataclasses.replace(analysis, score_mean=mean, score_std=std)
+        projected = drifted.project(refined.matrix)
+        assert (projected[:, 0] == 0.0).all()
+        from repro.stats.preprocessing import whiten_scores
+
+        raw = analysis.scaler.transform(refined.matrix) @ (
+            analysis.pca.components[: analysis.n_components].T
+        )
+        np.testing.assert_array_equal(projected, whiten_scores(raw, mean, std))
+        np.testing.assert_array_equal(projected[:, 1:], analysis.project(
+            refined.matrix
+        )[:, 1:])
+
     def test_classify_new_point(self, analysis, refined):
         # A perturbed copy of a training row lands in the same cluster.
         row = refined.matrix[10:11] * 1.001

@@ -227,3 +227,53 @@ class TestTracedDecorator:
 
         work()
         assert calls == [1]
+
+
+class TestClusteringSpans:
+    def test_traced_fit_records_sweep_and_kmeans_spans(self, small_sim):
+        from repro.core import Flare, FlareConfig
+        from repro.core.analyzer import AnalyzerConfig
+
+        config = FlareConfig(analyzer=AnalyzerConfig(cluster_counts=(2, 3, 4)))
+        tracer = enable()
+        try:
+            flare = Flare(config).fit(small_sim.dataset)
+        finally:
+            disable()
+        spans = tracer.spans()
+        (sweep,) = [s for s in spans if s.name == "cluster.sweep"]
+        assert sweep.attrs["counts"] == [2, 3, 4]
+        assert sweep.attrs["rows"] == len(small_sim.dataset)
+        fits = [s for s in spans if s.name == "kmeans.fit"]
+        assert [s.parent_id for s in fits[:3]] == [sweep.span_id] * 3
+        final = fits[-1]
+        assert final.parent_id != sweep.span_id
+        assert final.attrs["k"] == flare.analysis.n_clusters
+        assert final.attrs["restarts"] == config.analyzer.kmeans_restarts
+        assert final.attrs["lloyd_passes"] == flare.analysis.kmeans.n_iter
+        # One span per fit, never one per Lloyd iteration.
+        assert len(fits) == 4
+
+    def test_streaming_fit_counts_its_passes(self):
+        import numpy as np
+
+        from repro.stats import StreamingKMeans
+
+        data = np.random.default_rng(0).normal(size=(90, 3))
+        model = StreamingKMeans(4, n_init=2, seed=1)
+        tracer = enable()
+        try:
+            result = model.fit(
+                lambda: iter((data[:50], data[50:])),
+                n_total=90,
+                sample=data[::3],
+            )
+        finally:
+            disable()
+        seed_fit, streamed = [s for s in tracer.spans() if s.name == "kmeans.fit"]
+        assert seed_fit.parent_id == streamed.span_id
+        assert streamed.attrs == {
+            "k": 4,
+            "restarts": 2,
+            "lloyd_passes": result.n_iter,
+        }

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.machine import DEFAULT_SHAPE
+from repro.cluster.source import ScenarioContentHasher
 from repro.store import (
     LiveStore,
     ShardedScenarioStore,
@@ -174,6 +175,92 @@ class TestStoreSlice:
             StoreSlice(store, 0, 5).digest()
             != StoreSlice(store, 0, 6).digest()
         )
+
+    @staticmethod
+    def decoded_digest(view) -> str:
+        hasher = ScenarioContentHasher(view.shape)
+        for batch in view.iter_batches():
+            hasher.update_many(batch.scenarios)
+        return hasher.hexdigest()
+
+    def test_columnar_digest_equals_decoded_rows(self, store):
+        # Slices inside one shard, across shard boundaries, and empty.
+        for start, stop in ((0, 10), (1, 5), (2, 8), (3, 6), (4, 5), (7, 7)):
+            view = StoreSlice(store, start, stop)
+            assert view.digest() == self.decoded_digest(view)
+
+    def test_columnar_digest_keeps_negative_zero_duration(self, tmp_path):
+        def digest_with(duration: float) -> StoreSlice:
+            rows = [scenario(i) for i in range(5)]
+            rows[2] = make_scenario(2, [("WSC", 0.5)], duration_s=duration)
+            path = tmp_path / repr(duration)
+            with LiveStore(path, DEFAULT_SHAPE, shard_size=2) as live:
+                live.extend(rows)
+            return StoreSlice(ShardedScenarioStore.open(path), 1, 4)
+
+        negative, positive = digest_with(-0.0), digest_with(0.0)
+        assert negative.digest() == self.decoded_digest(negative)
+        assert positive.digest() == self.decoded_digest(positive)
+        assert negative.digest() != positive.digest()
+
+    def test_columnar_rows_hash_negative_zero_load_like_objects(self):
+        # No valid instance has load -0.0, so no store row decodes to
+        # one; the column hasher must still hex it as its own value,
+        # the way update_many hexes any float it is handed.
+        from types import SimpleNamespace
+
+        from repro.store.format import INSTANCE_DTYPE, SCENARIO_DTYPE
+        from repro.store.store import ShardTables
+
+        signature = make_scenario(0, [("WSC", 0.5)]).instances[0].signature
+        loads = [0.5, -0.0, 0.0]
+        instance_table = np.zeros(3, dtype=INSTANCE_DTYPE)
+        instance_table["load"] = loads
+        scenario_table = np.zeros(2, dtype=SCENARIO_DTYPE)
+        scenario_table["scenario_id"] = [4, 5]
+        scenario_table["n_occurrences"] = [1, 2]
+        scenario_table["total_duration_s"] = [60.0, 120.0]
+        scenario_table["inst_offset"] = [0, 1]
+        scenario_table["inst_count"] = [1, 2]
+        tables = ShardTables(
+            scenario_table=scenario_table,
+            instance_table=instance_table,
+            job_names=["WSC"],
+            signatures={"WSC": signature},
+            shape=DEFAULT_SHAPE,
+        )
+        columns = ScenarioContentHasher(DEFAULT_SHAPE)
+        columns.update_tables(tables)
+        objects = ScenarioContentHasher(DEFAULT_SHAPE)
+        objects.update_many(
+            SimpleNamespace(
+                scenario_id=row_id,
+                n_occurrences=occurrences,
+                total_duration_s=duration,
+                instances=[
+                    SimpleNamespace(signature=signature, load=load)
+                    for load in row_loads
+                ],
+            )
+            for row_id, occurrences, duration, row_loads in (
+                (4, 1, 60.0, loads[:1]),
+                (5, 2, 120.0, loads[1:]),
+            )
+        )
+        assert columns.hexdigest() == objects.hexdigest()
+        assert columns.n_scenarios == objects.n_scenarios == 2
+
+    def test_digest_decodes_no_scenario(self, store, monkeypatch):
+        import repro.store.format as store_format
+
+        view = StoreSlice(store, 2, 9)
+        expected = self.decoded_digest(view)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the slice digest decoded a row")
+
+        monkeypatch.setattr(store_format, "_decode_row", refuse)
+        assert StoreSlice(store, 2, 9).digest() == expected
 
     def test_out_of_range_slice_rejected(self, store):
         with pytest.raises(ValueError):
